@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sj_algebra::{Condition, Selection};
-use sj_eval::ops;
+use sj_eval::{kernel, ops};
 use sj_storage::{Relation, Tuple};
 use sj_workload::SplitMix64;
 use std::time::Duration;
@@ -27,10 +27,10 @@ fn bench(c: &mut Criterion) {
         let r = random_relation(n, n as i64 / 4, 1);
         let s = random_relation(n, n as i64 / 4, 2);
         group.bench_with_input(BenchmarkId::new("equi_join", n), &(&r, &s), |b, (r, s)| {
-            b.iter(|| ops::join(r, s, &Condition::eq(2, 1)))
+            b.iter(|| kernel::join(r, s, &Condition::eq(2, 1), 1))
         });
         group.bench_with_input(BenchmarkId::new("semijoin", n), &(&r, &s), |b, (r, s)| {
-            b.iter(|| ops::semijoin(r, s, &Condition::eq(2, 1)))
+            b.iter(|| kernel::semijoin(r, s, &Condition::eq(2, 1), 1))
         });
         group.bench_with_input(BenchmarkId::new("union", n), &(&r, &s), |b, (r, s)| {
             b.iter(|| r.union(s).unwrap())

@@ -1,26 +1,11 @@
-//! Vectorized vs row-at-a-time operator micro-benchmarks: each batched
-//! operator of `sj_eval::ops_vec` head-to-head against its row-wise
-//! `sj_eval::ops` counterpart, plus the columnar vs row-wise signature
-//! set join, across scales. The outputs are byte-identical (proved by
-//! `tests/vectorized.rs`); this harness measures what the columnar
-//! layout buys.
+//! Columnar vs row-wise signature set join across scales. The outputs
+//! are byte-identical (`sj_setjoin::columnar`'s unit tests prove it);
+//! this harness measures what the columnar element slices buy.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sj_algebra::{Condition, Selection};
-use sj_eval::{ops, ops_vec};
 use sj_setjoin::{signature_set_join, signature_set_join_rowwise, SetPredicate};
-use sj_storage::{Relation, Tuple};
-use sj_workload::{ElementDist, SetJoinWorkload, SetSizeDist, SplitMix64};
+use sj_workload::{ElementDist, SetJoinWorkload, SetSizeDist};
 use std::time::Duration;
-
-fn random_relation(n: usize, domain: i64, seed: u64) -> Relation {
-    let mut rng = SplitMix64::new(seed);
-    Relation::from_tuples(
-        2,
-        (0..n).map(|_| Tuple::from_ints(&[rng.range_i64(1, domain), rng.range_i64(1, domain)])),
-    )
-    .unwrap()
-}
 
 fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("vectorized_scaling");
@@ -28,52 +13,6 @@ fn bench(c: &mut Criterion) {
         .sample_size(10)
         .warm_up_time(Duration::from_millis(200))
         .measurement_time(Duration::from_millis(800));
-    for n in [4096usize, 32768] {
-        let r = random_relation(n, n as i64 / 4, 1);
-        let s = random_relation(n, n as i64 / 4, 2);
-        // Column caches built up front: the comparison measures the
-        // operators, not the one-time column materialization.
-        let _ = (r.columns(), s.columns());
-        let lt = Selection::Lt(1, 2);
-        group.bench_with_input(BenchmarkId::new("select_lt/row", n), &r, |b, r| {
-            b.iter(|| ops::select(r, &lt))
-        });
-        group.bench_with_input(BenchmarkId::new("select_lt/vectorized", n), &r, |b, r| {
-            b.iter(|| ops_vec::select(r, &lt))
-        });
-        let eq = Condition::eq(2, 1);
-        group.bench_with_input(
-            BenchmarkId::new("hash_join/row", n),
-            &(&r, &s),
-            |b, (r, s)| b.iter(|| ops::join(r, s, &eq)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("hash_join/vectorized", n),
-            &(&r, &s),
-            |b, (r, s)| b.iter(|| ops_vec::join(r, s, &eq)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("hash_semijoin/row", n),
-            &(&r, &s),
-            |b, (r, s)| b.iter(|| ops::semijoin(r, s, &eq)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("hash_semijoin/vectorized", n),
-            &(&r, &s),
-            |b, (r, s)| b.iter(|| ops_vec::semijoin(r, s, &eq)),
-        );
-        let none = Condition::always();
-        group.bench_with_input(
-            BenchmarkId::new("merge_semijoin/row", n),
-            &(&r, &s),
-            |b, (r, s)| b.iter(|| ops::merge_semijoin(r, s, 1, &none)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("merge_semijoin/vectorized", n),
-            &(&r, &s),
-            |b, (r, s)| b.iter(|| ops_vec::merge_semijoin(r, s, 1, &none)),
-        );
-    }
     for groups in [256usize, 512] {
         // Overlap-heavy sets: most signature filters pass, so the exact
         // verification merges dominate — the case the columnar element
@@ -87,6 +26,8 @@ fn bench(c: &mut Criterion) {
             seed: 0x5E7C01,
         }
         .generate();
+        // Column caches built up front: the comparison measures the
+        // joins, not the one-time column materialization.
         let _ = (r.columns(), s.columns());
         group.bench_with_input(
             BenchmarkId::new("signature_setjoin/row", groups),

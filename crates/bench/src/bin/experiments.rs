@@ -1145,20 +1145,15 @@ fn parallel_scaling() {
 }
 
 // ---------------------------------------------------------------------------
-// Vectorized vs row-at-a-time execution
+// Columnar vs row-wise set joins
 // ---------------------------------------------------------------------------
 
-/// Row-at-a-time vs vectorized execution, serial and at 4 workers, on
-/// planner-routed figure workloads plus the set-join shoot-out's
-/// columnar signature path. Every measured pair is asserted
-/// byte-identical before it is reported. The 4-worker rows isolate
-/// what vectorization adds *on top of* partition parallelism: the
-/// unified kernel layer runs the same columnar kernels over
-/// per-partition index views, so the columnar win compounds with
-/// partitioning instead of degrading to the row engine (the full
-/// workers axis lives in the `vectorized-parallel` experiment).
+/// Row-wise vs columnar signature set join, serial and at 4 workers, on
+/// the set-join shoot-out's shape. Every measured pair is asserted
+/// byte-identical before it is reported. The 4-worker row shows the
+/// columnar win persists under partitioning (the full workers axis
+/// lives in the `vectorized-parallel` experiment).
 fn vectorized_scaling_run() {
-    use sj_eval::Execution;
     use sj_setjoin::{
         parallel_signature_set_join, parallel_signature_set_join_rowwise, signature_set_join,
         signature_set_join_rowwise,
@@ -1212,72 +1207,7 @@ fn vectorized_scaling_run() {
         ]);
     };
 
-    // Planner-routed engine queries under the Execution knob.
-    let mut engine_case = |workload: &str, scale: usize, db: &Database, e: &Expr| {
-        for threads in [1usize, 4] {
-            let run = |exec: Execution| {
-                let db = db.clone();
-                let e = e.clone();
-                move || {
-                    Engine::new(db.clone())
-                        .parallelism(Parallelism::Threads(threads))
-                        .execution(exec)
-                        .query(e.clone())
-                        .run()
-                        .unwrap()
-                        .relation
-                }
-            };
-            run_case(
-                workload,
-                scale,
-                threads,
-                &run(Execution::RowAtATime),
-                &run(Execution::Vectorized),
-            );
-        }
-    };
-
-    // E17a — selection scan: σ₁<₂ over a wide-domain binary relation.
-    // The vectorized path runs a dense i64 compare per chunk and gathers
-    // sorted survivors without re-sorting.
-    let n = 262_144usize;
-    let scan_db = {
-        let mut rng = sj_workload::SplitMix64::new(0x5CA11);
-        let dom = n as i64;
-        let mut db = Database::new();
-        db.set(
-            "R",
-            Relation::from_tuples(
-                2,
-                (0..n).map(|_| {
-                    sj_storage::Tuple::from_ints(&[rng.range_i64(1, dom), rng.range_i64(1, dom)])
-                }),
-            )
-            .unwrap(),
-        );
-        db
-    };
-    engine_case(
-        "planned σ1<2 scan",
-        n,
-        &scan_db,
-        &Expr::rel("R").select_lt(1, 2),
-    );
-
-    // E17b — foreign-key hash join on the beer scene (same shape as the
-    // parallel-scaling experiment): integer keys hash straight from the
-    // dense column, no per-tuple key vectors.
-    let k = 16_384i64;
-    let bdb = beer_database(k, 0xBEE5);
-    engine_case(
-        "planned ⋈ hash fk",
-        k as usize,
-        &bdb,
-        &Expr::rel("Visits").join(Condition::eq(2, 1), Expr::rel("Serves")),
-    );
-
-    // E17c — the set-join shoot-out's signature containment join:
+    // E17 — the set-join shoot-out's signature containment join:
     // row-wise grouping + Value signatures vs the columnar group-range /
     // dense-signature path. Serial compares the two implementations
     // directly; at 4 workers the partitioned join dispatches the same
@@ -1320,7 +1250,7 @@ fn vectorized_scaling_run() {
 }
 
 // ---------------------------------------------------------------------------
-// E18 — Execution × Parallelism compounding on the set-join kernel layer
+// E18 — columnar × parallelism compounding on the set-join kernel layer
 // ---------------------------------------------------------------------------
 
 /// The workers axis for the vectorized suite: division in both
@@ -1328,7 +1258,7 @@ fn vectorized_scaling_run() {
 /// `R ÷ S = π_A(R ⋈[⊇/=] {0}×S)`, the same reduction the
 /// `division_is_a_set_join` property test pins — plus the
 /// set-containment join on uniform and zipf element distributions,
-/// each at 1/2/4 workers under both executions. "Row" runs the
+/// each at 1/2/4 workers, row-wise and columnar. "Row" runs the
 /// partition-parallel row-wise implementation
 /// ([`parallel_signature_set_join_rowwise`]), "vectorized" the columnar
 /// dispatcher that runs dense-element kernels over the *same*
@@ -1336,8 +1266,8 @@ fn vectorized_scaling_run() {
 /// worker count, and the workers axis shows the partition effects
 /// (more element partitions ⇒ fewer candidate pairs; more whole-set
 /// hash buckets ⇒ sharper equality pruning) that hold even on a 1-CPU
-/// host. The tentpole claim — `Threads(n) × Vectorized` compounds
-/// instead of degrading to the row engine — is asserted at the bottom
+/// host. The claim — `Threads(n)` compounds with the columnar kernels
+/// instead of degrading to the row-wise path — is asserted at the bottom
 /// with the same timing-jitter allowance the cost-model experiment
 /// uses.
 ///
@@ -1513,19 +1443,19 @@ fn vectorized_parallel_run() {
         println!("  check {w}: vec@4w {vec4:.3}ms | row@4w {row4:.3}ms | vec@1w {vec1:.3}ms");
         assert!(
             vec4 <= row4 * 1.25 + SLACK_MS,
-            "{w}: Threads(4) x Vectorized ({vec4:.3}ms) degraded below \
-             Threads(4) x RowAtATime ({row4:.3}ms)"
+            "{w}: Threads(4) x columnar ({vec4:.3}ms) degraded below \
+             Threads(4) x row-wise ({row4:.3}ms)"
         );
         assert!(
             vec4 <= vec1 * 1.25 + SLACK_MS,
-            "{w}: Threads(4) x Vectorized ({vec4:.3}ms) degraded below \
-             Serial x Vectorized ({vec1:.3}ms)"
+            "{w}: Threads(4) x columnar ({vec4:.3}ms) degraded below \
+             Serial x columnar ({vec1:.3}ms)"
         );
     }
     let path = csv.finish().unwrap();
     println!(
-        "vectorized-parallel: Threads(w) × Vectorized compounds — the \
-         vectorized column never degrades to the row engine at any worker \
+        "vectorized-parallel: Threads(w) × columnar compounds — the \
+         columnar path never degrades to the row-wise path at any worker \
          count → {}",
         path.display()
     );

@@ -11,6 +11,7 @@
 //! [`Expr::subexpressions`]).
 
 use crate::error::EvalError;
+use crate::kernel::{self, PartitionStat};
 use crate::ops;
 use sj_algebra::Expr;
 use sj_storage::{Database, Relation};
@@ -27,7 +28,7 @@ pub struct NodeStat {
     pub label: String,
     /// The physical operator that produced this node's output (e.g.
     /// `hash-join`, `merge-semijoin`, `scan`). The planner chooses per
-    /// node; the naive evaluator reports the fixed choice `ops` makes.
+    /// node; the naive evaluator reports the kernel θ selects.
     pub operator: String,
     /// Output arity of the node.
     pub arity: usize,
@@ -36,10 +37,9 @@ pub struct NodeStat {
     /// Wall-clock time spent in this node's own operator, children
     /// excluded.
     pub elapsed: Duration,
-    /// Per-partition timings when the node ran partition-parallel
-    /// ([`crate::ops::PartitionStat`]); empty for serial operators and
-    /// serial runs.
-    pub partitions: Vec<crate::ops::PartitionStat>,
+    /// Per-partition timings when the node ran partition-parallel;
+    /// empty for serial operators and serial runs.
+    pub partitions: Vec<PartitionStat>,
 }
 
 /// The result of an instrumented evaluation.
@@ -101,8 +101,8 @@ impl EvalReport {
 }
 
 /// The physical operator the naive (tree-walking) evaluator uses for a
-/// node — the fixed dispatch of [`crate::ops`], reported in [`NodeStat`]
-/// so naive and planned reports are comparable.
+/// node, reported in [`NodeStat`] so naive and planned reports are
+/// comparable.
 pub(crate) fn naive_operator(expr: &Expr) -> &'static str {
     match expr {
         Expr::Rel(_) => "scan",
@@ -181,13 +181,13 @@ fn eval_rec(
             let ra = eval_rec(a, db, nodes, counter);
             let rb = eval_rec(b, db, nodes, counter);
             let start = Instant::now();
-            (ops::join(&ra, &rb, theta), start.elapsed())
+            (kernel::join(&ra, &rb, theta, 1).0, start.elapsed())
         }
         Expr::Semijoin(theta, a, b) => {
             let ra = eval_rec(a, db, nodes, counter);
             let rb = eval_rec(b, db, nodes, counter);
             let start = Instant::now();
-            (ops::semijoin(&ra, &rb, theta), start.elapsed())
+            (kernel::semijoin(&ra, &rb, theta, 1).0, start.elapsed())
         }
         Expr::GroupCount(cols, a) => {
             let ra = eval_rec(a, db, nodes, counter);

@@ -1,48 +1,48 @@
-//! The partition-aware kernel layer: one entry point per binary operator
-//! that composes the two performance knobs orthogonally.
+//! The binary physical operators: exactly one kernel per operator.
 //!
-//! Every kernel takes the [`Execution`] mode *and* a worker count and
-//! dispatches on both:
+//! Hash join, hash semijoin, merge join, merge semijoin, nested-loop
+//! join and nested-loop semijoin are each written once, over **index
+//! views** — ascending lists of row indices into the shared operands.
+//! The hash kernels compute key hashes column at a time through the
+//! gather views of [`ColsView`] ([`sj_storage::ColGather`]: a dense
+//! `vals[idx[i]]` loop per typed column, so no `Value` is cloned or
+//! boxed on either side of the hash table) and confirm hash-paired rows
+//! with exact cell comparisons ([`ColsView::cell_eq`]). The merge
+//! kernels compare key prefixes through [`ColsView::cell_cmp`] (an
+//! `i64` or dictionary-code compare on typed columns). A condition with
+//! no equality atom runs the nested-loop kernel: there is nothing to
+//! hash in a cartesian filter.
 //!
-//! * `workers ≤ 1` — the serial operators run directly: the chunked
-//!   columnar kernels of [`crate::ops_vec`] under
-//!   [`Execution::Vectorized`], the row operators of [`crate::ops`]
-//!   under [`Execution::RowAtATime`]. No partitioning, no stats (a
-//!   serial node reports no partitions).
+//! The worker count only decides how the index views are cut:
+//!
+//! * `workers ≤ 1` — one partition over the identity view `0..len` of
+//!   each operand, run on the caller's thread. No fan-out, no partition
+//!   stats, and the output is already canonical.
 //! * `workers > 1` — both operands are hash-partitioned on the equality
-//!   key into ascending tuple-index lists
-//!   (`Relation::partition_indices`), the partition pairs are fanned out
-//!   over scoped worker threads, and *each partition* runs the kernel
-//!   the `Execution` knob selects: the row index-view kernels
-//!   (`join_idx` et al.), or the vectorized gather-view kernels
-//!   (`join_view` et al.) that hash and compare through the zero-copy
-//!   [`ColsView`] columns of the shared operands. Per-partition
-//!   [`PartitionStat`]s are collected either way, so instrumented
-//!   reports are execution-mode agnostic.
+//!   key ([`Relation::partition_indices`]) so matching keys co-locate;
+//!   with no equality key the left side is cut into contiguous ranges
+//!   that each see the whole right side. The partition pairs fan out
+//!   over scoped worker threads, each reporting a [`PartitionStat`].
 //!
-//! The vectorized partition kernels are the chunked kernels of
-//! [`crate::ops_vec`] re-expressed over gather views: key hashes are
-//! computed column-at-a-time through [`sj_storage::ColGather`] (a dense
-//! `vals[idx[i]]` loop per typed column — no `Value` is cloned or boxed
-//! on either side of the hash table), hash-paired rows are confirmed
-//! with exact cell comparisons ([`ColsView::cell_eq`]), and the merge
-//! variants compare key prefixes through [`ColsView::cell_cmp`] (an
-//! `i64` or dictionary-code compare on typed columns). Conditions with
-//! no equality atom keep the row nested-loop kernel under either mode —
-//! there is nothing to vectorize in a cartesian filter.
+//! Join kernels return output tuples; semijoin kernels return the
+//! surviving left row indices, gathered once at the end. Every output
+//! is built through [`Relation::from_sorted_tuples`], whose linear
+//! order check re-sorts only when partitions were concatenated, so the
+//! result is byte-identical for every worker count. The differential
+//! suites (`tests/vectorized.rs`, `tests/parallel.rs`) hold every kernel
+//! to [`crate::evaluate_reference`].
 //!
-//! Output is byte-identical across all four `(Execution, workers)`
-//! quadrants: partitions are key-disjoint, so one canonicalization pass
-//! over the concatenated outputs restores the global order, and the
-//! differential suites (`tests/parallel.rs`, `tests/vectorized.rs`)
-//! hold every combination to the serial row reference.
+//! Index views are `u32`: each kernel checks its operands once with
+//! [`ensure_u32_indexable`] and panics on a relation of more than
+//! `u32::MAX` rows, as [`Relation::partition_indices`] does.
 
-use crate::exec::Execution;
-use crate::ops::{self, split_condition};
-use crate::ops_vec::hash_view_rows;
+use crate::ops::split_condition;
 use sj_algebra::Condition;
 use sj_setjoin::parallel::fan_out;
-use sj_storage::{ColsView, FxHashMap, Relation, Tuple, Value};
+use sj_storage::column::{hash_int_cell, hash_value_cell};
+use sj_storage::{ensure_u32_indexable, ColGather, ColsView, FxHashMap, Relation, Tuple, Value};
+use std::cmp::Ordering;
+use std::ops::Range;
 use std::time::{Duration, Instant};
 
 /// Execution record of one partition of a partition-parallel operator,
@@ -64,17 +64,18 @@ pub struct PartitionStat {
 }
 
 // ---------------------------------------------------------------------------
-// Unified operator entry points: (Execution, workers) → kernel
+// Operator entry points
 // ---------------------------------------------------------------------------
 
-/// `r₁ ⋈θ r₂` under the given execution mode and worker count. Serial
-/// (`workers ≤ 1`) runs report no partitions; parallel runs report one
-/// [`PartitionStat`] per partition.
+/// `r₁ ⋈θ r₂` (Definition 1(6)) over `workers` partitions: the hash
+/// kernel on θ's equality atoms with the other atoms as a residual
+/// filter, or the nested-loop kernel when θ has no equality atom.
+/// Serial (`workers ≤ 1`) runs report no partitions; parallel runs
+/// report one [`PartitionStat`] per partition.
 pub fn join(
     r1: &Relation,
     r2: &Relation,
     theta: &Condition,
-    exec: Execution,
     workers: usize,
 ) -> (Relation, Vec<PartitionStat>) {
     let mut span = sj_obs::span!(
@@ -83,26 +84,26 @@ pub fn join(
         right = r2.len(),
         workers = workers.max(1)
     );
-    let (rel, stats) = if workers <= 1 {
-        let rel = if exec.is_vectorized() {
-            crate::ops_vec::join(r1, r2, theta)
+    let (eq, residual) = split_condition(theta);
+    let (left_cols, right_cols) = key_cols(&eq);
+    let (tuples, stats) = partitioned(r1, r2, &left_cols, &right_cols, workers, |li, ri| {
+        if eq.is_empty() {
+            nested_loop_join(r1, r2, li, ri, theta)
         } else {
-            ops::join(r1, r2, theta)
-        };
-        (rel, Vec::new())
-    } else {
-        par_join_exec(r1, r2, theta, exec, workers)
-    };
+            hash_join(r1, r2, li, ri, &eq, &residual)
+        }
+    });
+    let rel = Relation::from_sorted_tuples(r1.arity() + r2.arity(), tuples);
     span.attr("out_rows", rel.len());
     (rel, stats)
 }
 
-/// `r₁ ⋉θ r₂` under the given execution mode and worker count.
+/// `r₁ ⋉θ r₂` (Definition 2) over `workers` partitions: the hash kernel
+/// on θ's equality atoms, or the nested-loop kernel when θ has none.
 pub fn semijoin(
     r1: &Relation,
     r2: &Relation,
     theta: &Condition,
-    exec: Execution,
     workers: usize,
 ) -> (Relation, Vec<PartitionStat>) {
     let mut span = sj_obs::span!(
@@ -111,29 +112,29 @@ pub fn semijoin(
         right = r2.len(),
         workers = workers.max(1)
     );
-    let (rel, stats) = if workers <= 1 {
-        let rel = if exec.is_vectorized() {
-            crate::ops_vec::semijoin(r1, r2, theta)
+    let (eq, residual) = split_condition(theta);
+    let (left_cols, right_cols) = key_cols(&eq);
+    let (keep, stats) = partitioned(r1, r2, &left_cols, &right_cols, workers, |li, ri| {
+        if eq.is_empty() {
+            nested_loop_semijoin(r1, r2, li, ri, theta)
         } else {
-            ops::semijoin(r1, r2, theta)
-        };
-        (rel, Vec::new())
-    } else {
-        par_semijoin_exec(r1, r2, theta, exec, workers)
-    };
+            hash_semijoin(r1, r2, li, ri, &eq, &residual)
+        }
+    });
+    let rel = gather(r1, keep);
     span.attr("out_rows", rel.len());
     (rel, stats)
 }
 
 /// Merge equi-join on an aligned key prefix of length `k` (see
-/// [`ops::merge_prefix_len`]) under the given execution mode and worker
-/// count.
+/// [`crate::ops::merge_prefix_len`]), with `residual` applied to each
+/// candidate pair. Both operands are in canonical order, hence sorted by
+/// the key, and so is every partition (a subsequence of its operand).
 pub fn merge_join(
     r1: &Relation,
     r2: &Relation,
     k: usize,
     residual: &Condition,
-    exec: Execution,
     workers: usize,
 ) -> (Relation, Vec<PartitionStat>) {
     let mut span = sj_obs::span!(
@@ -142,28 +143,23 @@ pub fn merge_join(
         right = r2.len(),
         workers = workers.max(1)
     );
-    let (rel, stats) = if workers <= 1 {
-        let rel = if exec.is_vectorized() {
-            crate::ops_vec::merge_join(r1, r2, k, residual)
-        } else {
-            ops::merge_join(r1, r2, k, residual)
-        };
-        (rel, Vec::new())
-    } else {
-        par_merge_join_exec(r1, r2, k, residual, exec, workers)
-    };
+    let cols: Vec<usize> = (0..k).collect();
+    let (tuples, stats) = partitioned(r1, r2, &cols, &cols, workers, |li, ri| {
+        merge_join_view(r1, r2, li, ri, k, residual)
+    });
+    let rel = Relation::from_sorted_tuples(r1.arity() + r2.arity(), tuples);
     span.attr("out_rows", rel.len());
     (rel, stats)
 }
 
-/// Merge equi-semijoin on an aligned key prefix of length `k` under the
-/// given execution mode and worker count.
+/// Merge equi-semijoin on an aligned key prefix of length `k`: a left
+/// tuple survives iff its key run on the right holds a tuple passing
+/// `residual`.
 pub fn merge_semijoin(
     r1: &Relation,
     r2: &Relation,
     k: usize,
     residual: &Condition,
-    exec: Execution,
     workers: usize,
 ) -> (Relation, Vec<PartitionStat>) {
     let mut span = sj_obs::span!(
@@ -172,16 +168,11 @@ pub fn merge_semijoin(
         right = r2.len(),
         workers = workers.max(1)
     );
-    let (rel, stats) = if workers <= 1 {
-        let rel = if exec.is_vectorized() {
-            crate::ops_vec::merge_semijoin(r1, r2, k, residual)
-        } else {
-            ops::merge_semijoin(r1, r2, k, residual)
-        };
-        (rel, Vec::new())
-    } else {
-        par_merge_semijoin_exec(r1, r2, k, residual, exec, workers)
-    };
+    let cols: Vec<usize> = (0..k).collect();
+    let (keep, stats) = partitioned(r1, r2, &cols, &cols, workers, |li, ri| {
+        merge_semijoin_view(r1, r2, li, ri, k, residual)
+    });
+    let rel = gather(r1, keep);
     span.attr("out_rows", rel.len());
     (rel, stats)
 }
@@ -237,17 +228,13 @@ pub struct MultiwaySpec {
 /// order materializes a larger intermediate.
 ///
 /// `workers > 1` splits the start variable's candidate list into
-/// contiguous chunks fanned out over scoped threads (one
-/// [`PartitionStat`] per chunk, `right_rows = 0` — there is no probe
+/// contiguous ranges fanned out over scoped threads (one
+/// [`PartitionStat`] per range, `right_rows = 0` — there is no probe
 /// side); the canonicalizing merge keeps the output byte-identical for
-/// every worker count. The [`Execution`] knob is accepted for kernel
-/// signature uniformity but selects nothing: the posting-list indexes
-/// are already column-oriented, so there is no row-at-a-time variant to
-/// choose.
+/// every worker count.
 pub fn multiway_join(
     children: &[&Relation],
     spec: &MultiwaySpec,
-    _exec: Execution,
     workers: usize,
 ) -> (Relation, Vec<PartitionStat>) {
     let k = spec.cycle.len();
@@ -364,9 +351,9 @@ pub fn multiway_join(
             let (mut i, mut j) = (0usize, 0usize);
             while i < reachable.len() && j < back.len() {
                 match reachable[i].cmp(&back[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
+                    Ordering::Less => i += 1,
+                    Ordering::Greater => j += 1,
+                    Ordering::Equal => {
                         binding.push(reachable[i].clone());
                         emit(binding, out);
                         binding.pop();
@@ -384,525 +371,226 @@ pub fn multiway_join(
         }
     }
     let rot_fwd: Vec<&FxHashMap<Value, Vec<Value>>> = (0..k).map(|i| &fwd[rot(i)]).collect();
-    let run = |chunk: &[u32]| {
+    let run = |range: Range<usize>| {
         let mut out: Vec<Tuple> = Vec::new();
         let mut binding: Vec<Value> = Vec::with_capacity(k);
-        for &ci in chunk {
+        for v0 in &cands[range] {
             binding.clear();
-            binding.push(cands[ci as usize].clone());
+            binding.push(v0.clone());
             search(1, k, &rot_fwd, &bwd, &mut binding, &emit, &mut out);
         }
         out
     };
 
-    if workers <= 1 {
-        let all: Vec<u32> = (0..cands.len() as u32).collect();
-        let tuples = run(&all);
-        let rel = Relation::from_tuples(out_arity, tuples).expect("assembled arity");
-        span.attr("out_rows", rel.len());
-        return (rel, Vec::new());
-    }
-    let parent = sj_obs::current_span();
-    let outputs = fan_out(
-        chunk_indices(cands.len(), workers)
-            .into_iter()
-            .enumerate()
-            .collect::<Vec<_>>(),
-        workers,
-        |(partition, chunk)| {
-            sj_obs::with_parent(parent, || {
-                let mut pspan = sj_obs::span!(
-                    "kernel.partition",
-                    partition = partition,
-                    left = chunk.len()
-                );
-                let start = Instant::now();
-                let out = run(&chunk);
-                pspan.attr("out_rows", out.len());
-                (chunk.len(), out, start.elapsed())
-            })
-        },
-    );
-    let mut stats = Vec::with_capacity(outputs.len());
-    let mut tuples: Vec<Tuple> = Vec::new();
-    for (partition, (left_rows, out, elapsed)) in outputs.into_iter().enumerate() {
-        stats.push(PartitionStat {
-            partition,
-            left_rows,
-            right_rows: 0,
-            out_rows: out.len(),
-            elapsed,
-        });
-        tuples.extend(out);
-    }
-    // Chunks partition the start candidates, and a binding determines
-    // its tuple, so the concatenation is duplicate-free; one
-    // canonicalization pass restores the global order.
-    let merged = Relation::from_tuples(out_arity, tuples).expect("partition arities agree");
-    span.attr("out_rows", merged.len());
-    (merged, stats)
+    // Ranges partition the start candidates, and a binding determines
+    // its tuple, so the concatenation is duplicate-free.
+    let (tuples, stats) = if workers <= 1 {
+        (run(0..cands.len()), Vec::new())
+    } else {
+        fan_out_timed(
+            chunk_ranges(cands.len(), workers),
+            workers,
+            |r| (r.len(), 0),
+            run,
+        )
+    };
+    let rel = Relation::from_sorted_tuples(out_arity, tuples);
+    span.attr("out_rows", rel.len());
+    (rel, stats)
 }
 
 // ---------------------------------------------------------------------------
-// Partition-parallel machinery
+// Partitioning
 // ---------------------------------------------------------------------------
 
-/// Split `0..len` into at most `n` contiguous index ranges — the
-/// partitioning used when θ has no equality atom to hash on.
-fn chunk_indices(len: usize, n: usize) -> Vec<Vec<u32>> {
-    let n = n.max(1).min(len.max(1));
-    let per = len.div_ceil(n).max(1);
-    (0..len as u32)
-        .collect::<Vec<u32>>()
-        .chunks(per)
-        .map(|c| c.to_vec())
+/// The 0-based left and right key columns of θ's equality pairs.
+fn key_cols(eq: &[(usize, usize)]) -> (Vec<usize>, Vec<usize>) {
+    eq.iter().copied().unzip()
+}
+
+/// The identity index view `0..r.len()`. Callers have checked `r` with
+/// [`ensure_u32_indexable`].
+fn all_rows(r: &Relation) -> Vec<u32> {
+    (0..r.len() as u32).collect()
+}
+
+/// Split `0..len` into at most `n` contiguous ranges — the cut used
+/// when there is no key to hash on.
+fn chunk_ranges(len: usize, n: usize) -> Vec<Range<usize>> {
+    let per = len.div_ceil(n.max(1)).max(1);
+    (0..len)
+        .step_by(per)
+        .map(|s| s..(s + per).min(len))
         .collect()
 }
 
-/// Run a binary operator partition-parallel over **index views**:
-/// hash-partition both sides on the equality key (`left_cols` /
-/// `right_cols`, 0-based) into ascending tuple-index lists
-/// ([`Relation::partition_indices`]) so matching keys co-locate, fan
-/// the partition pairs out over `workers` scoped threads, and union the
-/// per-partition outputs back into canonical order. With no equality
-/// columns the left side is chunked into contiguous index ranges and
-/// every chunk sees the full right side.
+/// Run a kernel `op` over index views of `r1` and `r2` and concatenate
+/// its outputs in partition order. One worker runs `op` once over the
+/// identity views and reports no partitions. More workers hash-partition
+/// both operands on `left_cols` / `right_cols` so matching keys
+/// co-locate — or, with no key, cut the left side into contiguous
+/// ranges that each see the whole right side — and fan the partition
+/// pairs out over scoped threads.
 ///
 /// Partitions are views — index lists into the shared operands — so no
-/// input tuple is ever cloned into a partition (the scheme
-/// `sj_setjoin::parallel` uses, ported to the planned-query path; only
-/// the 4-byte indices and the output tuples are materialized). The
-/// per-partition kernel `op` is chosen by the caller — row index-view
-/// or vectorized gather-view — which is exactly how `Execution` and
-/// `Parallelism` compose.
-fn par_binary(
+/// input tuple is cloned into a partition; only the 4-byte indices and
+/// the output are materialized.
+fn partitioned<T: Send>(
     r1: &Relation,
     r2: &Relation,
     left_cols: &[usize],
     right_cols: &[usize],
     workers: usize,
-    out_arity: usize,
-    op: impl Fn(&[u32], &[u32]) -> Vec<Tuple> + Sync,
-) -> (Relation, Vec<PartitionStat>) {
-    let workers = workers.max(1);
+    op: impl Fn(&[u32], &[u32]) -> Vec<T> + Sync,
+) -> (Vec<T>, Vec<PartitionStat>) {
+    for r in [r1, r2] {
+        ensure_u32_indexable(r.len()).expect("kernel operand too large for u32 index views");
+    }
+    if workers <= 1 {
+        return (op(&all_rows(r1), &all_rows(r2)), Vec::new());
+    }
+    let (left_all, right_all, left_parts, right_parts);
+    let pairs: Vec<(&[u32], &[u32])> = if left_cols.is_empty() {
+        left_all = all_rows(r1);
+        right_all = all_rows(r2);
+        chunk_ranges(left_all.len(), workers)
+            .into_iter()
+            .map(|c| (&left_all[c], right_all.as_slice()))
+            .collect()
+    } else {
+        left_parts = r1.partition_indices(left_cols, workers);
+        right_parts = r2.partition_indices(right_cols, workers);
+        left_parts
+            .iter()
+            .zip(&right_parts)
+            .map(|(l, r)| (l.as_slice(), r.as_slice()))
+            .collect()
+    };
+    fan_out_timed(
+        pairs,
+        workers,
+        |(l, r)| (l.len(), r.len()),
+        |(l, r)| op(l, r),
+    )
+}
+
+/// Fan `parts` out over `workers` scoped threads, each under its own
+/// `kernel.partition` span, and concatenate the outputs in partition
+/// order with one [`PartitionStat`] per part (`sizes` gives its left and
+/// right row counts).
+fn fan_out_timed<I: Send, T: Send>(
+    parts: Vec<I>,
+    workers: usize,
+    sizes: impl Fn(&I) -> (usize, usize) + Sync,
+    op: impl Fn(I) -> Vec<T> + Sync,
+) -> (Vec<T>, Vec<PartitionStat>) {
     let parent = sj_obs::current_span();
-    let timed = |partition: usize, li: &[u32], ri: &[u32]| {
+    let parts: Vec<(usize, I)> = parts.into_iter().enumerate().collect();
+    let outputs = fan_out(parts, workers, |(partition, part)| {
         sj_obs::with_parent(parent, || {
+            let (left_rows, right_rows) = sizes(&part);
             let mut span = sj_obs::span!(
                 "kernel.partition",
                 partition = partition,
-                left = li.len(),
-                right = ri.len()
+                left = left_rows,
+                right = right_rows
             );
             let start = Instant::now();
-            let out = op(li, ri);
-            let elapsed = start.elapsed();
+            let out = op(part);
             span.attr("out_rows", out.len());
-            (li.len(), ri.len(), out, elapsed)
+            let stat = PartitionStat {
+                partition,
+                left_rows,
+                right_rows,
+                out_rows: out.len(),
+                elapsed: start.elapsed(),
+            };
+            (stat, out)
         })
-    };
-    let outputs = if left_cols.is_empty() {
-        // No key to co-partition on: chunk the left side; every chunk
-        // probes the whole right side through one shared index list.
-        let full: Vec<u32> = (0..r2.len() as u32).collect();
-        let chunks: Vec<(usize, Vec<u32>)> = chunk_indices(r1.len(), workers)
-            .into_iter()
-            .enumerate()
-            .collect();
-        fan_out(chunks, workers, |(p, li)| timed(p, &li, &full))
-    } else {
-        let pairs: Vec<_> = r1
-            .partition_indices(left_cols, workers)
-            .into_iter()
-            .zip(r2.partition_indices(right_cols, workers))
-            .enumerate()
-            .collect();
-        fan_out(pairs, workers, |(p, (li, ri))| timed(p, &li, &ri))
-    };
+    });
     let mut stats = Vec::with_capacity(outputs.len());
-    let mut tuples: Vec<Tuple> = Vec::new();
-    for (partition, (left_rows, right_rows, out, elapsed)) in outputs.into_iter().enumerate() {
-        stats.push(PartitionStat {
-            partition,
-            left_rows,
-            right_rows,
-            out_rows: out.len(),
-            elapsed,
-        });
-        tuples.extend(out);
+    let mut all: Vec<T> = Vec::new();
+    for (stat, out) in outputs {
+        stats.push(stat);
+        all.extend(out);
     }
-    // Partitions are key-disjoint (or, for the chunked no-equality path,
-    // row-disjoint), so the flattened outputs contain no duplicates; one
-    // canonicalization pass restores the global order.
-    let merged = Relation::from_tuples(out_arity, tuples).expect("partition arities agree");
-    (merged, stats)
+    (all, stats)
 }
 
-/// Partition-parallel join with the per-partition kernel chosen by
-/// `exec`: vectorized gather-view when there is an equality key,
-/// otherwise the row nested-loop index kernel under either mode.
-fn par_join_exec(
-    r1: &Relation,
-    r2: &Relation,
-    theta: &Condition,
-    exec: Execution,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
-    let (eq, residual) = split_condition(theta);
-    let left_cols: Vec<usize> = eq.iter().map(|&(lc, _)| lc).collect();
-    let right_cols: Vec<usize> = eq.iter().map(|&(_, rc)| rc).collect();
-    let out_arity = r1.arity() + r2.arity();
-    let vectorize = exec.is_vectorized() && !eq.is_empty();
-    par_binary(
-        r1,
-        r2,
-        &left_cols,
-        &right_cols,
-        workers,
-        out_arity,
-        |li, ri| {
-            if vectorize {
-                join_view(r1, r2, li, ri, &eq, &residual)
-            } else {
-                join_idx(r1, r2, li, ri, theta)
-            }
-        },
+/// The relation of `r`'s rows at `keep`. Concatenated partitions hold
+/// disjoint rows, so sorting their indices restores row order, and the
+/// gathered tuples are already canonical.
+pub(crate) fn gather(r: &Relation, mut keep: Vec<u32>) -> Relation {
+    if !keep.is_sorted() {
+        keep.sort_unstable();
+    }
+    let ts = r.tuples();
+    Relation::from_sorted_tuples(
+        r.arity(),
+        keep.iter().map(|&i| ts[i as usize].clone()).collect(),
     )
 }
 
-/// Partition-parallel semijoin (see [`par_join_exec`]).
-fn par_semijoin_exec(
-    r1: &Relation,
-    r2: &Relation,
-    theta: &Condition,
-    exec: Execution,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
-    let (eq, residual) = split_condition(theta);
-    let left_cols: Vec<usize> = eq.iter().map(|&(lc, _)| lc).collect();
-    let right_cols: Vec<usize> = eq.iter().map(|&(_, rc)| rc).collect();
-    let vectorize = exec.is_vectorized() && !eq.is_empty();
-    par_binary(
-        r1,
-        r2,
-        &left_cols,
-        &right_cols,
-        workers,
-        r1.arity(),
-        |li, ri| {
-            if vectorize {
-                semijoin_view(r1, r2, li, ri, &eq, &residual)
-            } else {
-                semijoin_idx(r1, r2, li, ri, theta)
-            }
-        },
-    )
-}
-
-/// Partition-parallel merge join on an aligned key prefix: both sides
-/// are hash-partitioned on the prefix columns (partitions stay
-/// canonically sorted — they are subsequences), merged per partition
-/// with the `exec`-selected kernel, and unioned back.
-fn par_merge_join_exec(
-    r1: &Relation,
-    r2: &Relation,
-    k: usize,
-    residual: &Condition,
-    exec: Execution,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
-    let cols: Vec<usize> = (0..k).collect();
-    let out_arity = r1.arity() + r2.arity();
-    let vectorize = exec.is_vectorized();
-    par_binary(r1, r2, &cols, &cols, workers, out_arity, |li, ri| {
-        if vectorize {
-            merge_join_view(r1, r2, li, ri, k, residual)
-        } else {
-            merge_join_idx(r1, r2, li, ri, k, residual)
-        }
-    })
-}
-
-/// Partition-parallel merge semijoin on an aligned key prefix.
-fn par_merge_semijoin_exec(
-    r1: &Relation,
-    r2: &Relation,
-    k: usize,
-    residual: &Condition,
-    exec: Execution,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
-    let cols: Vec<usize> = (0..k).collect();
-    let vectorize = exec.is_vectorized();
-    par_binary(r1, r2, &cols, &cols, workers, r1.arity(), |li, ri| {
-        if vectorize {
-            merge_semijoin_view(r1, r2, li, ri, k, residual)
-        } else {
-            merge_semijoin_idx(r1, r2, li, ri, k, residual)
-        }
-    })
-}
-
 // ---------------------------------------------------------------------------
-// Row-execution compatibility wrappers
+// Hash kernels
 // ---------------------------------------------------------------------------
 
-/// Partition-parallel [`ops::join`] with row per-partition kernels:
-/// byte-identical output for every worker count (partition placement is
-/// deterministic and the merge restores canonical order).
-pub fn par_join(r1: &Relation, r2: &Relation, theta: &Condition, workers: usize) -> Relation {
-    par_join_stats(r1, r2, theta, workers).0
-}
+/// Seed of every composite row-key hash ([`hash_view_rows`]).
+const KEY_HASH_SEED: u64 = 0x5157_cc1b_7272_20a9;
 
-/// [`par_join`] plus per-partition statistics for instrumentation.
-pub fn par_join_stats(
-    r1: &Relation,
-    r2: &Relation,
-    theta: &Condition,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
-    par_join_exec(r1, r2, theta, Execution::RowAtATime, workers)
-}
-
-/// Partition-parallel [`ops::semijoin`] with row per-partition kernels.
-pub fn par_semijoin(r1: &Relation, r2: &Relation, theta: &Condition, workers: usize) -> Relation {
-    par_semijoin_stats(r1, r2, theta, workers).0
-}
-
-/// [`par_semijoin`] plus per-partition statistics.
-pub fn par_semijoin_stats(
-    r1: &Relation,
-    r2: &Relation,
-    theta: &Condition,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
-    par_semijoin_exec(r1, r2, theta, Execution::RowAtATime, workers)
-}
-
-/// Partition-parallel [`ops::merge_join`] with row per-partition kernels.
-pub fn par_merge_join_stats(
-    r1: &Relation,
-    r2: &Relation,
-    k: usize,
-    residual: &Condition,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
-    par_merge_join_exec(r1, r2, k, residual, Execution::RowAtATime, workers)
-}
-
-/// Partition-parallel [`ops::merge_semijoin`] with row per-partition
-/// kernels.
-pub fn par_merge_semijoin_stats(
-    r1: &Relation,
-    r2: &Relation,
-    k: usize,
-    residual: &Condition,
-    workers: usize,
-) -> (Relation, Vec<PartitionStat>) {
-    par_merge_semijoin_exec(r1, r2, k, residual, Execution::RowAtATime, workers)
-}
-
-// ---------------------------------------------------------------------------
-// Row index-view kernels
-// ---------------------------------------------------------------------------
-
-/// [`ops::join`] restricted to the tuples of `r1` at `li` and of `r2` at
-/// `ri` (ascending index views): hash build over the right view, probe
-/// from the left view, residual filter on candidates.
-fn join_idx(r1: &Relation, r2: &Relation, li: &[u32], ri: &[u32], theta: &Condition) -> Vec<Tuple> {
-    let (eq, residual) = split_condition(theta);
-    let (a, b) = (r1.tuples(), r2.tuples());
-    let mut out: Vec<Tuple> = Vec::new();
-    if eq.is_empty() {
-        for &i in li {
-            let t1 = &a[i as usize];
-            for &j in ri {
-                let t2 = &b[j as usize];
-                if theta.eval(t1.values(), t2.values()) {
-                    out.push(t1.concat(t2));
-                }
-            }
-        }
-    } else {
-        let left_cols: Vec<usize> = eq.iter().map(|&(lc, _)| lc).collect();
-        let right_cols: Vec<usize> = eq.iter().map(|&(_, rc)| rc).collect();
-        let mut index: FxHashMap<Vec<Value>, Vec<u32>> = FxHashMap::default();
-        for &j in ri {
-            let t2 = &b[j as usize];
-            let key: Vec<Value> = right_cols.iter().map(|&c| t2[c].clone()).collect();
-            index.entry(key).or_default().push(j);
-        }
-        let mut key: Vec<Value> = Vec::with_capacity(left_cols.len());
-        for &i in li {
-            let t1 = &a[i as usize];
-            key.clear();
-            key.extend(left_cols.iter().map(|&c| t1[c].clone()));
-            if let Some(hits) = index.get(key.as_slice()) {
-                for &j in hits {
-                    let t2 = &b[j as usize];
-                    if residual.eval(t1.values(), t2.values()) {
-                        out.push(t1.concat(t2));
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// [`ops::semijoin`] over index views (see [`join_idx`]).
-fn semijoin_idx(
-    r1: &Relation,
-    r2: &Relation,
-    li: &[u32],
-    ri: &[u32],
-    theta: &Condition,
-) -> Vec<Tuple> {
-    let (eq, residual) = split_condition(theta);
-    let (a, b) = (r1.tuples(), r2.tuples());
-    let tuple_at = |i: &u32| a[*i as usize].clone();
-    if eq.is_empty() {
-        if ri.is_empty() {
-            Vec::new()
-        } else if theta.is_empty() {
-            li.iter().map(tuple_at).collect()
-        } else {
-            li.iter()
-                .filter(|&&i| {
-                    let t1 = &a[i as usize];
-                    ri.iter()
-                        .any(|&j| theta.eval(t1.values(), b[j as usize].values()))
-                })
-                .map(tuple_at)
-                .collect()
-        }
-    } else {
-        let left_cols: Vec<usize> = eq.iter().map(|&(lc, _)| lc).collect();
-        let right_cols: Vec<usize> = eq.iter().map(|&(_, rc)| rc).collect();
-        let mut index: FxHashMap<Vec<Value>, Vec<u32>> = FxHashMap::default();
-        for &j in ri {
-            let t2 = &b[j as usize];
-            let key: Vec<Value> = right_cols.iter().map(|&c| t2[c].clone()).collect();
-            index.entry(key).or_default().push(j);
-        }
-        let mut key: Vec<Value> = Vec::with_capacity(left_cols.len());
-        li.iter()
-            .filter(|&&i| {
-                let t1 = &a[i as usize];
-                key.clear();
-                key.extend(left_cols.iter().map(|&c| t1[c].clone()));
-                index.get(key.as_slice()).is_some_and(|hits| {
-                    residual.is_empty()
-                        || hits
-                            .iter()
-                            .any(|&j| residual.eval(t1.values(), b[j as usize].values()))
-                })
-            })
-            .map(tuple_at)
-            .collect()
-    }
-}
-
-/// Compare the first `k` components of two tuples.
+/// Mix one column's cell hash into a row's running key hash.
 #[inline]
-fn cmp_prefix(a: &Tuple, b: &Tuple, k: usize) -> std::cmp::Ordering {
-    a.values()[..k].cmp(&b.values()[..k])
+fn mix(h: u64, x: u64) -> u64 {
+    (h.rotate_left(23) ^ x).wrapping_mul(0x9e37_79b9_7f4a_7c15)
 }
 
-/// End of the run of indices whose tuples share the first `k`
-/// components with the tuple at `idx[start]`.
-#[inline]
-fn run_end_idx(ts: &[Tuple], idx: &[u32], start: usize, k: usize) -> usize {
-    let mut end = start + 1;
-    while end < idx.len()
-        && cmp_prefix(&ts[idx[end] as usize], &ts[idx[start] as usize], k)
-            == std::cmp::Ordering::Equal
-    {
-        end += 1;
-    }
-    end
-}
-
-/// [`ops::merge_join`] over index views: the index lists are ascending,
-/// so their tuples are already in canonical (key-sorted) order.
-fn merge_join_idx(
-    r1: &Relation,
-    r2: &Relation,
-    li: &[u32],
-    ri: &[u32],
-    k: usize,
-    residual: &Condition,
-) -> Vec<Tuple> {
-    let (a, b) = (r1.tuples(), r2.tuples());
-    let mut out: Vec<Tuple> = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < li.len() && j < ri.len() {
-        match cmp_prefix(&a[li[i] as usize], &b[ri[j] as usize], k) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let (i_end, j_end) = (run_end_idx(a, li, i, k), run_end_idx(b, ri, j, k));
-                for &ii in &li[i..i_end] {
-                    let t1 = &a[ii as usize];
-                    for &jj in &ri[j..j_end] {
-                        let t2 = &b[jj as usize];
-                        if residual.eval(t1.values(), t2.values()) {
-                            out.push(t1.concat(t2));
-                        }
-                    }
+/// The composite key hash of every view row over the 0-based key
+/// `cols`, column at a time, into the scratch vector `out`.
+fn hash_view_rows(view: &ColsView<'_>, cols: &[usize], out: &mut Vec<u64>) {
+    out.clear();
+    out.resize(view.len(), KEY_HASH_SEED);
+    for &c in cols {
+        match view.col(c) {
+            ColGather::Int { vals, idx } => {
+                for (h, &i) in out.iter_mut().zip(idx) {
+                    *h = mix(*h, hash_int_cell(vals[i as usize]));
                 }
-                i = i_end;
-                j = j_end;
+            }
+            ColGather::Str { codes, idx, dict } => {
+                for (h, &i) in out.iter_mut().zip(idx) {
+                    *h = mix(*h, dict.hash_of(codes[i as usize]));
+                }
+            }
+            ColGather::Mixed { vals, idx } => {
+                for (h, &i) in out.iter_mut().zip(idx) {
+                    *h = mix(*h, hash_value_cell(&vals[i as usize]));
+                }
             }
         }
     }
-    out
 }
 
-/// [`ops::merge_semijoin`] over index views (see [`merge_join_idx`]).
-fn merge_semijoin_idx(
-    r1: &Relation,
-    r2: &Relation,
-    li: &[u32],
-    ri: &[u32],
-    k: usize,
-    residual: &Condition,
-) -> Vec<Tuple> {
-    let (a, b) = (r1.tuples(), r2.tuples());
-    let mut out: Vec<Tuple> = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < li.len() && j < ri.len() {
-        match cmp_prefix(&a[li[i] as usize], &b[ri[j] as usize], k) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let (i_end, j_end) = (run_end_idx(a, li, i, k), run_end_idx(b, ri, j, k));
-                for &ii in &li[i..i_end] {
-                    let t1 = &a[ii as usize];
-                    if residual.is_empty()
-                        || ri[j..j_end]
-                            .iter()
-                            .any(|&jj| residual.eval(t1.values(), b[jj as usize].values()))
-                    {
-                        out.push(t1.clone());
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
+/// The hash table over `view`'s key columns: composite key hash →
+/// ascending view rows. Collisions are resolved by the probes' exact
+/// [`keys_eq`] check.
+fn build_table(
+    view: &ColsView<'_>,
+    cols: &[usize],
+    scratch: &mut Vec<u64>,
+) -> FxHashMap<u64, Vec<u32>> {
+    hash_view_rows(view, cols, scratch);
+    let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+    table.reserve(view.len());
+    for (k, &h) in scratch.iter().enumerate() {
+        table.entry(h).or_default().push(k as u32);
     }
-    out
+    table
 }
-
-// ---------------------------------------------------------------------------
-// Vectorized gather-view kernels
-// ---------------------------------------------------------------------------
 
 /// Exact key equality between view row `li` of `lv` and view row `ri`
 /// of `rv` — the collision check behind every hash pairing.
 #[inline]
-fn keys_eq_view(
+fn keys_eq(
     lv: &ColsView<'_>,
     li: usize,
     rv: &ColsView<'_>,
@@ -912,10 +600,9 @@ fn keys_eq_view(
     eq.iter().all(|&(lc, rc)| lv.cell_eq(lc, li, rv, rc, ri))
 }
 
-/// Vectorized hash join over one partition pair: build the hash table
-/// from the right gather view, probe from the left gather view, both
-/// hashed column-at-a-time through [`sj_storage::ColGather`].
-fn join_view(
+/// Hash join over one partition pair: build the table from the right
+/// view, probe from the left view, filter candidates by `residual`.
+fn hash_join(
     r1: &Relation,
     r2: &Relation,
     li: &[u32],
@@ -924,24 +611,18 @@ fn join_view(
     residual: &Condition,
 ) -> Vec<Tuple> {
     let (lv, rv) = (r1.columns().view(li), r2.columns().view(ri));
-    let left_cols: Vec<usize> = eq.iter().map(|&(lc, _)| lc).collect();
-    let right_cols: Vec<usize> = eq.iter().map(|&(_, rc)| rc).collect();
-    let mut scratch: Vec<u64> = Vec::new();
-    hash_view_rows(&rv, &right_cols, &mut scratch);
-    let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    table.reserve(rv.len());
-    for (k, &h) in scratch.iter().enumerate() {
-        table.entry(h).or_default().push(k as u32);
-    }
-    hash_view_rows(&lv, &left_cols, &mut scratch);
+    let (left_cols, right_cols) = key_cols(eq);
+    let mut hashes: Vec<u64> = Vec::new();
+    let table = build_table(&rv, &right_cols, &mut hashes);
+    hash_view_rows(&lv, &left_cols, &mut hashes);
     let (a, b) = (r1.tuples(), r2.tuples());
     let mut out: Vec<Tuple> = Vec::new();
-    for (k, &h) in scratch.iter().enumerate() {
+    for (k, &h) in hashes.iter().enumerate() {
         let Some(cands) = table.get(&h) else { continue };
         let t1 = &a[lv.row(k)];
         for &vk in cands {
             let vk = vk as usize;
-            if keys_eq_view(&lv, k, &rv, vk, eq) {
+            if keys_eq(&lv, k, &rv, vk, eq) {
                 let t2 = &b[rv.row(vk)];
                 if residual.eval(t1.values(), t2.values()) {
                     out.push(t1.concat(t2));
@@ -952,76 +633,133 @@ fn join_view(
     out
 }
 
-/// Vectorized hash semijoin over one partition pair (see [`join_view`]).
-fn semijoin_view(
+/// Hash semijoin over one partition pair (see [`hash_join`]): the left
+/// rows with a key match on the right passing `residual`.
+fn hash_semijoin(
     r1: &Relation,
     r2: &Relation,
     li: &[u32],
     ri: &[u32],
     eq: &[(usize, usize)],
     residual: &Condition,
-) -> Vec<Tuple> {
+) -> Vec<u32> {
     let (lv, rv) = (r1.columns().view(li), r2.columns().view(ri));
-    let left_cols: Vec<usize> = eq.iter().map(|&(lc, _)| lc).collect();
-    let right_cols: Vec<usize> = eq.iter().map(|&(_, rc)| rc).collect();
-    let mut scratch: Vec<u64> = Vec::new();
-    hash_view_rows(&rv, &right_cols, &mut scratch);
-    let mut table: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    table.reserve(rv.len());
-    for (k, &h) in scratch.iter().enumerate() {
-        table.entry(h).or_default().push(k as u32);
-    }
-    hash_view_rows(&lv, &left_cols, &mut scratch);
+    let (left_cols, right_cols) = key_cols(eq);
+    let mut hashes: Vec<u64> = Vec::new();
+    let table = build_table(&rv, &right_cols, &mut hashes);
+    hash_view_rows(&lv, &left_cols, &mut hashes);
     let (a, b) = (r1.tuples(), r2.tuples());
-    let mut out: Vec<Tuple> = Vec::new();
-    for (k, &h) in scratch.iter().enumerate() {
+    let mut keep: Vec<u32> = Vec::new();
+    for (k, &h) in hashes.iter().enumerate() {
         let Some(cands) = table.get(&h) else { continue };
-        let t1 = &a[lv.row(k)];
         let survives = cands.iter().any(|&vk| {
             let vk = vk as usize;
-            keys_eq_view(&lv, k, &rv, vk, eq)
-                && (residual.is_empty() || residual.eval(t1.values(), b[rv.row(vk)].values()))
+            keys_eq(&lv, k, &rv, vk, eq)
+                && (residual.is_empty()
+                    || residual.eval(a[lv.row(k)].values(), b[rv.row(vk)].values()))
         });
         if survives {
-            out.push(t1.clone());
+            keep.push(li[k]);
+        }
+    }
+    keep
+}
+
+// ---------------------------------------------------------------------------
+// Nested-loop kernels
+// ---------------------------------------------------------------------------
+
+/// Filtered nested-loop join over one partition pair.
+fn nested_loop_join(
+    r1: &Relation,
+    r2: &Relation,
+    li: &[u32],
+    ri: &[u32],
+    theta: &Condition,
+) -> Vec<Tuple> {
+    let (a, b) = (r1.tuples(), r2.tuples());
+    let mut out: Vec<Tuple> = Vec::new();
+    for &i in li {
+        let t1 = &a[i as usize];
+        for &j in ri {
+            let t2 = &b[j as usize];
+            if theta.eval(t1.values(), t2.values()) {
+                out.push(t1.concat(t2));
+            }
         }
     }
     out
 }
 
+/// Nested-loop semijoin over one partition pair: the left rows with any
+/// right row satisfying θ.
+fn nested_loop_semijoin(
+    r1: &Relation,
+    r2: &Relation,
+    li: &[u32],
+    ri: &[u32],
+    theta: &Condition,
+) -> Vec<u32> {
+    let (a, b) = (r1.tuples(), r2.tuples());
+    li.iter()
+        .copied()
+        .filter(|&i| {
+            let t1 = a[i as usize].values();
+            ri.iter().any(|&j| theta.eval(t1, b[j as usize].values()))
+        })
+        .collect()
+}
+
+// ---------------------------------------------------------------------------
+// Merge kernels
+// ---------------------------------------------------------------------------
+
 /// Compare the first `k` columns of view row `i` of `lv` and view row
 /// `j` of `rv` through the typed cell comparator.
 #[inline]
-fn cmp_prefix_view(
-    lv: &ColsView<'_>,
-    i: usize,
-    rv: &ColsView<'_>,
-    j: usize,
-    k: usize,
-) -> std::cmp::Ordering {
-    for c in 0..k {
-        match lv.cell_cmp(c, i, rv, c, j) {
-            std::cmp::Ordering::Equal => continue,
-            other => return other,
-        }
-    }
-    std::cmp::Ordering::Equal
+fn cmp_prefix(lv: &ColsView<'_>, i: usize, rv: &ColsView<'_>, j: usize, k: usize) -> Ordering {
+    (0..k)
+        .map(|c| lv.cell_cmp(c, i, rv, c, j))
+        .find(|o| o.is_ne())
+        .unwrap_or(Ordering::Equal)
 }
 
 /// End of the run of view rows sharing row `start`'s first `k` column
 /// values.
 #[inline]
-fn run_end_view(v: &ColsView<'_>, start: usize, k: usize) -> usize {
+fn run_end(v: &ColsView<'_>, start: usize, k: usize) -> usize {
     let mut end = start + 1;
-    while end < v.len() && cmp_prefix_view(v, end, v, start, k) == std::cmp::Ordering::Equal {
+    while end < v.len() && cmp_prefix(v, end, v, start, k).is_eq() {
         end += 1;
     }
     end
 }
 
-/// Vectorized merge join over one partition pair: run detection and
-/// prefix comparison through [`ColsView::cell_cmp`] (typed column
-/// compares); a non-matching side skips its whole run at once.
+/// Walk the two key-sorted views run by run, calling `on_match` with
+/// the left and right view-row ranges of every shared key; a
+/// non-matching side skips its whole run at once.
+fn merge_runs(
+    lv: &ColsView<'_>,
+    rv: &ColsView<'_>,
+    k: usize,
+    mut on_match: impl FnMut(Range<usize>, Range<usize>),
+) {
+    let (mut i, mut j) = (0usize, 0usize);
+    while i < lv.len() && j < rv.len() {
+        match cmp_prefix(lv, i, rv, j, k) {
+            Ordering::Less => i = run_end(lv, i, k),
+            Ordering::Greater => j = run_end(rv, j, k),
+            Ordering::Equal => {
+                let (i_end, j_end) = (run_end(lv, i, k), run_end(rv, j, k));
+                on_match(i..i_end, j..j_end);
+                i = i_end;
+                j = j_end;
+            }
+        }
+    }
+}
+
+/// Merge join over one partition pair.
 fn merge_join_view(
     r1: &Relation,
     r2: &Relation,
@@ -1033,32 +771,22 @@ fn merge_join_view(
     let (lv, rv) = (r1.columns().view(li), r2.columns().view(ri));
     let (a, b) = (r1.tuples(), r2.tuples());
     let mut out: Vec<Tuple> = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lv.len() && j < rv.len() {
-        match cmp_prefix_view(&lv, i, &rv, j, k) {
-            std::cmp::Ordering::Less => i = run_end_view(&lv, i, k),
-            std::cmp::Ordering::Greater => j = run_end_view(&rv, j, k),
-            std::cmp::Ordering::Equal => {
-                let (i_end, j_end) = (run_end_view(&lv, i, k), run_end_view(&rv, j, k));
-                for ii in i..i_end {
-                    let t1 = &a[lv.row(ii)];
-                    for jj in j..j_end {
-                        let t2 = &b[rv.row(jj)];
-                        if residual.eval(t1.values(), t2.values()) {
-                            out.push(t1.concat(t2));
-                        }
-                    }
+    merge_runs(&lv, &rv, k, |left, right| {
+        for ii in left {
+            let t1 = &a[lv.row(ii)];
+            for jj in right.clone() {
+                let t2 = &b[rv.row(jj)];
+                if residual.eval(t1.values(), t2.values()) {
+                    out.push(t1.concat(t2));
                 }
-                i = i_end;
-                j = j_end;
             }
         }
-    }
+    });
     out
 }
 
-/// Vectorized merge semijoin over one partition pair (see
-/// [`merge_join_view`]).
+/// Merge semijoin over one partition pair: the left rows whose key run
+/// on the right holds a row passing `residual`.
 fn merge_semijoin_view(
     r1: &Relation,
     r2: &Relation,
@@ -1066,41 +794,42 @@ fn merge_semijoin_view(
     ri: &[u32],
     k: usize,
     residual: &Condition,
-) -> Vec<Tuple> {
+) -> Vec<u32> {
     let (lv, rv) = (r1.columns().view(li), r2.columns().view(ri));
     let (a, b) = (r1.tuples(), r2.tuples());
-    let mut out: Vec<Tuple> = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < lv.len() && j < rv.len() {
-        match cmp_prefix_view(&lv, i, &rv, j, k) {
-            std::cmp::Ordering::Less => i = run_end_view(&lv, i, k),
-            std::cmp::Ordering::Greater => j = run_end_view(&rv, j, k),
-            std::cmp::Ordering::Equal => {
-                let (i_end, j_end) = (run_end_view(&lv, i, k), run_end_view(&rv, j, k));
-                for ii in i..i_end {
-                    let t1 = &a[lv.row(ii)];
-                    if residual.is_empty()
-                        || (j..j_end).any(|jj| residual.eval(t1.values(), b[rv.row(jj)].values()))
-                    {
-                        out.push(t1.clone());
-                    }
-                }
-                i = i_end;
-                j = j_end;
+    let mut keep: Vec<u32> = Vec::new();
+    merge_runs(&lv, &rv, k, |left, right| {
+        for ii in left {
+            let t1 = a[lv.row(ii)].values();
+            if residual.is_empty()
+                || right
+                    .clone()
+                    .any(|jj| residual.eval(t1, b[rv.row(jj)].values()))
+            {
+                keep.push(li[ii]);
             }
         }
-    }
-    out
+    });
+    keep
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sj_algebra::CompOp;
-    use sj_storage::tuple;
+    use crate::evaluate_reference;
+    use sj_algebra::{Atom, CompOp, Expr};
+    use sj_storage::{tuple, Database};
 
     fn r(rows: &[&[i64]]) -> Relation {
         Relation::from_int_rows(rows)
+    }
+
+    /// `e` over `R = a`, `S = b` through the reference evaluator.
+    fn reference(a: &Relation, b: &Relation, e: Expr) -> Relation {
+        let mut db = Database::new();
+        db.set("R", a.clone());
+        db.set("S", b.clone());
+        evaluate_reference(&e, &db).unwrap()
     }
 
     fn operands() -> Vec<(&'static str, Relation, Relation)> {
@@ -1130,16 +859,23 @@ mod tests {
                 Relation::from_tuples(2, vec![tuple![1, 7], tuple![2, "x"], tuple![9, "y"]])
                     .unwrap(),
             ),
+            (
+                // Int keys against string keys: hash buckets may
+                // collide, values never match.
+                "int-vs-string",
+                r(&[&[1, 1], &[2, 2]]),
+                Relation::from_str_rows(&[&["1", "1"], &["2", "2"]]),
+            ),
             ("empty-left", Relation::empty(2), r(&rrefs)),
             ("empty-right", r(&lrefs), Relation::empty(2)),
         ]
     }
 
-    /// Both execution modes at every worker count are byte-identical to
-    /// the serial row reference, for joins and semijoins on every theta
-    /// shape and operand type.
+    /// Hash and nested-loop join and semijoin equal the reference
+    /// evaluator at every worker count, for every θ shape and operand
+    /// type; partition stats account for every output tuple.
     #[test]
-    fn kernel_join_and_semijoin_match_serial_reference() {
+    fn join_and_semijoin_equal_reference() {
         let thetas = [
             Condition::eq(1, 1),
             Condition::eq(2, 1),
@@ -1149,110 +885,127 @@ mod tests {
         ];
         for (name, a, b) in operands() {
             for theta in &thetas {
-                let want_join = ops::join(&a, &b, theta);
-                let want_semi = ops::semijoin(&a, &b, theta);
-                for exec in [Execution::RowAtATime, Execution::Vectorized] {
-                    for workers in [1usize, 2, 4, 8] {
-                        let (j, jstats) = join(&a, &b, theta, exec, workers);
-                        assert_eq!(j, want_join, "join {theta} on {name} {exec:?} @{workers}");
-                        let (s, _) = semijoin(&a, &b, theta, exec, workers);
-                        assert_eq!(
-                            s, want_semi,
-                            "semijoin {theta} on {name} {exec:?} @{workers}"
+                let rs = |e: Expr| reference(&a, &b, e);
+                let want_join = rs(Expr::rel("R").join(theta.clone(), Expr::rel("S")));
+                let want_semi = rs(Expr::rel("R").semijoin(theta.clone(), Expr::rel("S")));
+                for workers in [1usize, 2, 4, 8] {
+                    let (j, jstats) = join(&a, &b, theta, workers);
+                    assert_eq!(j, want_join, "join {theta} on {name} @{workers}");
+                    let (s, sstats) = semijoin(&a, &b, theta, workers);
+                    assert_eq!(s, want_semi, "semijoin {theta} on {name} @{workers}");
+                    if workers <= 1 {
+                        assert!(
+                            jstats.is_empty() && sstats.is_empty(),
+                            "serial: no partitions"
                         );
-                        if workers <= 1 {
-                            assert!(jstats.is_empty(), "serial runs report no partitions");
-                        } else {
-                            // The chunked no-equality path over an empty
-                            // left side has nothing to partition; every
-                            // other parallel run reports partitions.
-                            let chunked_empty = split_condition(theta).0.is_empty() && a.is_empty();
-                            assert!(!jstats.is_empty() || chunked_empty);
-                            assert_eq!(
-                                jstats.iter().map(|p| p.out_rows).sum::<usize>(),
-                                j.len(),
-                                "partition stats account for every output tuple"
-                            );
-                        }
+                        continue;
                     }
+                    // The chunked no-equality path over an empty left
+                    // side has nothing to partition; every other
+                    // parallel run reports partitions.
+                    let chunked_empty = split_condition(theta).0.is_empty() && a.is_empty();
+                    assert!(!jstats.is_empty() || chunked_empty);
+                    let out = |st: &[PartitionStat]| st.iter().map(|p| p.out_rows).sum::<usize>();
+                    assert_eq!(out(&jstats), j.len(), "join stats cover every tuple");
+                    assert_eq!(out(&sstats), s.len(), "semijoin stats cover every tuple");
                 }
             }
         }
     }
 
-    /// Merge variants: both execution modes at every worker count equal
-    /// the serial row merge.
+    /// Merge join and semijoin on one- and two-column key prefixes, with
+    /// and without a residual, equal the reference at every worker count.
     #[test]
-    fn kernel_merge_variants_match_serial_reference() {
+    fn merge_kernels_equal_reference() {
         let residuals = [
             Condition::always(),
-            Condition::new([sj_algebra::Atom {
+            Condition::new([Atom {
                 left: 2,
                 op: CompOp::Neq,
                 right: 2,
             }]),
         ];
         for (name, a, b) in operands() {
-            for residual in &residuals {
-                let want_join = ops::merge_join(&a, &b, 1, residual);
-                let want_semi = ops::merge_semijoin(&a, &b, 1, residual);
-                for exec in [Execution::RowAtATime, Execution::Vectorized] {
+            for k in [1usize, 2] {
+                for residual in &residuals {
+                    let theta = Condition::new(
+                        Condition::eq_pairs((1..=k).map(|c| (c, c)))
+                            .atoms()
+                            .iter()
+                            .chain(residual.atoms())
+                            .copied(),
+                    );
+                    let rs = |e: Expr| reference(&a, &b, e);
+                    let want_join = rs(Expr::rel("R").join(theta.clone(), Expr::rel("S")));
+                    let want_semi = rs(Expr::rel("R").semijoin(theta.clone(), Expr::rel("S")));
                     for workers in [1usize, 3, 4, 8] {
-                        let (j, _) = merge_join(&a, &b, 1, residual, exec, workers);
-                        assert_eq!(j, want_join, "merge join on {name} {exec:?} @{workers}");
-                        let (s, _) = merge_semijoin(&a, &b, 1, residual, exec, workers);
-                        assert_eq!(s, want_semi, "merge semijoin on {name} {exec:?} @{workers}");
+                        let (j, _) = merge_join(&a, &b, k, residual, workers);
+                        assert_eq!(j, want_join, "merge join {theta} on {name} @{workers}");
+                        let (s, _) = merge_semijoin(&a, &b, k, residual, workers);
+                        assert_eq!(s, want_semi, "merge semijoin {theta} on {name} @{workers}");
                     }
                 }
             }
         }
     }
 
-    /// The vectorized gather-view kernels are exercised directly (not
-    /// through the no-equality fallback): a single partition covering
-    /// everything must reproduce the serial operators.
+    /// Hand-checked joins and semijoins from Definitions 1(6) and 2.
     #[test]
-    fn view_kernels_match_serial_on_full_views() {
-        for (name, a, b) in operands() {
-            let li: Vec<u32> = (0..a.len() as u32).collect();
-            let ri: Vec<u32> = (0..b.len() as u32).collect();
-            let theta = Condition::eq(1, 1).and(2, CompOp::Neq, 2);
-            let (eq, residual) = split_condition(&theta);
-            let got = Relation::from_tuples(
-                a.arity() + b.arity(),
-                join_view(&a, &b, &li, &ri, &eq, &residual),
-            )
-            .unwrap();
-            assert_eq!(got, ops::join(&a, &b, &theta), "join_view on {name}");
-            let semi =
-                Relation::from_tuples(a.arity(), semijoin_view(&a, &b, &li, &ri, &eq, &residual))
-                    .unwrap();
-            assert_eq!(
-                semi,
-                ops::semijoin(&a, &b, &theta),
-                "semijoin_view on {name}"
-            );
-            let mj = Relation::from_tuples(
-                a.arity() + b.arity(),
-                merge_join_view(&a, &b, &li, &ri, 1, &Condition::always()),
-            )
-            .unwrap();
-            assert_eq!(
-                mj,
-                ops::merge_join(&a, &b, 1, &Condition::always()),
-                "merge_join_view on {name}"
-            );
-            let ms = Relation::from_tuples(
-                a.arity(),
-                merge_semijoin_view(&a, &b, &li, &ri, 1, &Condition::always()),
-            )
-            .unwrap();
-            assert_eq!(
-                ms,
-                ops::merge_semijoin(&a, &b, 1, &Condition::always()),
-                "merge_semijoin_view on {name}"
-            );
-        }
+    fn hand_checked_joins_and_semijoins() {
+        let a = r(&[&[1, 10], &[2, 20], &[3, 10]]);
+        let b = r(&[&[10, 100], &[10, 101], &[30, 300]]);
+        assert_eq!(
+            join(&a, &b, &Condition::eq(2, 1), 1).0,
+            r(&[
+                &[1, 10, 10, 100],
+                &[1, 10, 10, 101],
+                &[3, 10, 10, 100],
+                &[3, 10, 10, 101]
+            ])
+        );
+        // Duplicate keys on the right never duplicate the output.
+        assert_eq!(
+            semijoin(&a, &b, &Condition::eq(2, 1), 1).0,
+            r(&[&[1, 10], &[3, 10]])
+        );
+        let (x, y) = (r(&[&[1], &[5]]), r(&[&[3]]));
+        assert_eq!(join(&x, &y, &Condition::lt(1, 1), 1).0, r(&[&[1, 3]]));
+        assert_eq!(
+            join(&x, &y, &Condition::neq(1, 1), 1).0,
+            r(&[&[1, 3], &[5, 3]])
+        );
+        assert_eq!(join(&x, &x, &Condition::always(), 1).0.len(), 4);
+        // An unconditional semijoin is an emptiness test of the right side.
+        assert_eq!(semijoin(&x, &y, &Condition::always(), 1).0, x);
+        assert_eq!(
+            semijoin(&x, &Relation::empty(3), &Condition::always(), 1).0,
+            Relation::empty(1)
+        );
+        let visits = Relation::from_str_rows(&[&["alex", "pareto bar"]]);
+        let serves = Relation::from_str_rows(&[&["pareto bar", "westmalle"]]);
+        assert_eq!(
+            join(&visits, &serves, &Condition::eq(2, 1), 1).0.tuples(),
+            &[tuple!["alex", "pareto bar", "pareto bar", "westmalle"]]
+        );
+    }
+
+    /// Hash partitions cover both operands exactly once; the no-equality
+    /// path cuts the left side and hands every range the whole right side.
+    #[test]
+    fn partition_stats_account_for_every_row() {
+        let rows: Vec<Vec<i64>> = (0..100).map(|i| vec![i % 11, i]).collect();
+        let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let a = r(&refs);
+        let b = r(&[&[1, 5], &[2, 9], &[3, 1]]);
+        let (out, stats) = join(&a, &b, &Condition::eq(1, 1), 4);
+        assert_eq!(stats.len(), 4);
+        assert_eq!(stats.iter().map(|s| s.left_rows).sum::<usize>(), a.len());
+        assert_eq!(stats.iter().map(|s| s.right_rows).sum::<usize>(), b.len());
+        assert_eq!(stats.iter().map(|s| s.out_rows).sum::<usize>(), out.len());
+        assert!(stats.iter().enumerate().all(|(i, s)| s.partition == i));
+        let (_, nl_stats) = join(&a, &b, &Condition::always(), 4);
+        assert!(nl_stats.iter().all(|s| s.right_rows == b.len()));
+        assert_eq!(nl_stats.iter().map(|s| s.left_rows).sum::<usize>(), a.len());
     }
 
     /// A small directed graph with a hub, a matching, and some chain
@@ -1282,48 +1035,32 @@ mod tests {
         }
     }
 
-    /// The multiway kernel equals the pairwise join chain on triangles
-    /// and 4-cycles, byte-identical at every worker count, with
-    /// partition stats accounting for every output tuple.
+    /// The multiway kernel equals the reference pairwise join chain on
+    /// triangles and 4-cycles at every worker count, with partition
+    /// stats accounting for every output tuple.
     #[test]
-    fn multiway_join_matches_pairwise_chain() {
+    fn multiway_join_equals_reference_chain() {
         let e = edge_relation();
-
-        // Triangle reference: (E ⋈₂₌₁ E) ⋈_{4=1 ∧ 1=2} E.
-        let tri_ref = ops::join(
-            &ops::join(&e, &e, &Condition::eq(2, 1)),
-            &e,
-            &Condition::eq_pairs([(4, 1), (1, 2)]),
-        );
-        assert!(!tri_ref.is_empty(), "the graph has triangles");
-        // 4-cycle reference: ((E ⋈₂₌₁ E) ⋈₄₌₁ E) ⋈_{6=1 ∧ 1=2} E.
-        let quad_ref = ops::join(
-            &ops::join(
-                &ops::join(&e, &e, &Condition::eq(2, 1)),
-                &e,
-                &Condition::eq(4, 1),
-            ),
-            &e,
-            &Condition::eq_pairs([(6, 1), (1, 2)]),
-        );
-        assert!(!quad_ref.is_empty(), "the graph has 4-cycles");
-
-        for (k, want) in [(3usize, &tri_ref), (4, &quad_ref)] {
+        let edge = || Expr::rel("R");
+        // (E ⋈₂₌₁ E) ⋈_{4=1 ∧ 1=2} E
+        let tri = edge()
+            .join(Condition::eq(2, 1), edge())
+            .join(Condition::eq_pairs([(4, 1), (1, 2)]), edge());
+        // ((E ⋈₂₌₁ E) ⋈₄₌₁ E) ⋈_{6=1 ∧ 1=2} E
+        let quad = edge()
+            .join(Condition::eq(2, 1), edge())
+            .join(Condition::eq(4, 1), edge())
+            .join(Condition::eq_pairs([(6, 1), (1, 2)]), edge());
+        for (k, chain) in [(3usize, tri), (4, quad)] {
+            let want = reference(&e, &e, chain);
+            assert!(!want.is_empty(), "the graph has {k}-cycles");
             let children: Vec<&Relation> = vec![&e; k];
-            let spec = cycle_spec(k);
-            for exec in [Execution::RowAtATime, Execution::Vectorized] {
-                for workers in [1usize, 2, 4, 8] {
-                    let (got, stats) = multiway_join(&children, &spec, exec, workers);
-                    assert_eq!(got, *want, "k={k} {exec:?} @{workers}");
-                    if workers <= 1 {
-                        assert!(stats.is_empty(), "serial runs report no partitions");
-                    } else {
-                        assert_eq!(
-                            stats.iter().map(|p| p.out_rows).sum::<usize>(),
-                            got.len(),
-                            "partition stats account for every output tuple"
-                        );
-                    }
+            for workers in [1usize, 2, 4, 8] {
+                let (got, stats) = multiway_join(&children, &cycle_spec(k), workers);
+                assert_eq!(got, want, "k={k} @{workers}");
+                assert_eq!(stats.is_empty(), workers <= 1, "serial: no partitions");
+                if workers > 1 {
+                    assert_eq!(stats.iter().map(|p| p.out_rows).sum::<usize>(), got.len());
                 }
             }
         }
@@ -1337,7 +1074,7 @@ mod tests {
         let empty = Relation::empty(2);
         let spec = cycle_spec(3);
         for workers in [1usize, 4] {
-            let (got, _) = multiway_join(&[&e, &empty, &e], &spec, Execution::RowAtATime, workers);
+            let (got, _) = multiway_join(&[&e, &empty, &e], &spec, workers);
             assert!(got.is_empty(), "empty child @{workers}");
             assert_eq!(got.arity(), 6);
         }
@@ -1345,7 +1082,7 @@ mod tests {
         let chain_rows: Vec<Vec<i64>> = (0..10).map(|i| vec![i, i + 1]).collect();
         let chain_refs: Vec<&[i64]> = chain_rows.iter().map(|r| r.as_slice()).collect();
         let dag = r(&chain_refs);
-        let (got, _) = multiway_join(&[&dag, &dag, &dag], &spec, Execution::Vectorized, 2);
+        let (got, _) = multiway_join(&[&dag, &dag, &dag], &spec, 2);
         assert!(got.is_empty(), "a DAG has no directed triangles");
     }
 }

@@ -3,8 +3,10 @@
 //! Evaluators for the RA / SA / extended-RA expressions of `sj-algebra`
 //! over `sj-storage` databases:
 //!
-//! * [`evaluate`] — the plain evaluator: hash equi-joins/semijoins with
-//!   residual filters, merge-based set operations, hash grouping.
+//! * [`evaluate`] — the plain evaluator: a tree walk over the same
+//!   operators the planner runs, with one worker — the hash, merge and
+//!   nested-loop join/semijoin kernels of [`kernel`] (one implementation
+//!   per operator) and the unary operators of [`ops`].
 //! * [`instrumented::evaluate_instrumented`] — the same evaluation, but
 //!   additionally reporting the cardinality of **every subexpression**.
 //!   This is the measurement instrument behind the paper's Definition 16
@@ -34,7 +36,6 @@ pub mod instrumented;
 pub mod joinorder;
 pub mod kernel;
 pub mod ops;
-pub mod ops_vec;
 pub mod par;
 pub mod plain;
 pub mod plan;
@@ -50,8 +51,7 @@ pub use exec::Execution;
 pub use explain::explain;
 pub use instrumented::{evaluate_instrumented, EvalReport, NodeStat};
 pub use joinorder::{JoinOrder, DP_MAX_RELATIONS};
-pub use kernel::{multiway_join, MultiwayLeaf, MultiwaySpec};
-pub use ops::PartitionStat;
+pub use kernel::{multiway_join, MultiwayLeaf, MultiwaySpec, PartitionStat};
 pub use par::Parallelism;
 pub use plain::evaluate;
 pub use plan::{
@@ -67,10 +67,9 @@ pub mod prelude {
         AlgorithmChoice, Engine, Instrument, Query, QueryOutput, Report, SetOpOutput, StatsMode,
         Strategy,
     };
-    pub use crate::exec::Execution;
     pub use crate::instrumented::{evaluate_instrumented, EvalReport, NodeStat};
     pub use crate::joinorder::JoinOrder;
-    pub use crate::ops::PartitionStat;
+    pub use crate::kernel::PartitionStat;
     pub use crate::par::Parallelism;
     pub use crate::plain::evaluate;
     pub use crate::plan::{evaluate_planned, evaluate_planned_instrumented, PlannedReport};

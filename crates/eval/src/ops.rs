@@ -1,17 +1,30 @@
-//! Physical operator implementations on [`Relation`]s.
+//! Unary physical operators and the condition helpers the binary
+//! kernels share.
 //!
-//! Each logical operator of the paper's algebra (Definitions 1 and 2, plus
-//! the Section 5 grouping extension) has one function here. Joins and
-//! semijoins dispatch on the condition: equality atoms are executed with a
-//! hash index (build on the right, probe from the left), remaining atoms
-//! (`≠`, `<`, `>`) are applied as residual filters; a condition with no
-//! equality atom falls back to a filtered nested loop.
+//! Each unary operator of the paper's algebra (Definitions 1 and 2, plus
+//! the Section 5 grouping extension) has one function here. The binary
+//! operators — joins and semijoins — live in [`crate::kernel`], one
+//! kernel each.
+//!
+//! [`select`] scans each column chunk ([`sj_storage::Chunk`], default
+//! [`DEFAULT_CHUNK_ROWS`] rows) with a dense typed loop, collecting a
+//! **selection vector** of surviving row indices, and only then gathers
+//! the surviving tuples — the output is a subsequence of the canonical
+//! order, so no re-sort is needed. The chunk size is
+//! [`DEFAULT_CHUNK_ROWS`] unless the `SETJOINS_TEST_CHUNK` environment
+//! variable overrides it (mirroring `SETJOINS_TEST_THREADS`; CI runs the
+//! test suite at chunk sizes 1 and 3 to stress chunk-boundary
+//! arithmetic); [`select_chunked`] takes it explicitly for tests.
 //!
 //! All functions assume the expressions were validated (column references
 //! in range); they index slices directly.
 
 use sj_algebra::{CompOp, Condition, Selection};
-use sj_storage::{FxHashMap, FxHashSet, HashIndex, Relation, Tuple, Value};
+use sj_storage::{
+    ensure_u32_indexable, Chunk, ColSlice, Columns, FxHashMap, Relation, Tuple, Value,
+    DEFAULT_CHUNK_ROWS,
+};
+use std::sync::OnceLock;
 
 /// `π_{cols}(r)` — 1-based columns, may repeat and reorder (Definition 1(3)).
 pub fn project(r: &Relation, cols: &[usize]) -> Relation {
@@ -20,25 +33,140 @@ pub fn project(r: &Relation, cols: &[usize]) -> Relation {
         .expect("projection preserves arity")
 }
 
-/// `σ(r)` for the three selection forms (Definition 1(4) + derived σᵢ₌c).
+/// The chunk size in effect for this process: `SETJOINS_TEST_CHUNK` when
+/// set to a positive integer, [`DEFAULT_CHUNK_ROWS`] otherwise. Read
+/// once and cached.
+pub fn effective_chunk_rows() -> usize {
+    static CHUNK: OnceLock<usize> = OnceLock::new();
+    *CHUNK.get_or_init(|| {
+        std::env::var("SETJOINS_TEST_CHUNK")
+            .ok()
+            .and_then(|s| s.trim().parse::<usize>().ok())
+            .filter(|&n| n > 0)
+            .unwrap_or(DEFAULT_CHUNK_ROWS)
+    })
+}
+
+/// `σ(r)` for the three selection forms (Definition 1(4) + derived
+/// σᵢ₌c): chunked selection with selection vectors.
 pub fn select(r: &Relation, sel: &Selection) -> Relation {
-    let keep: Box<dyn Fn(&Tuple) -> bool> = match sel {
-        Selection::Eq(i, j) => {
-            let (i, j) = (*i - 1, *j - 1);
-            Box::new(move |t: &Tuple| t[i] == t[j])
+    select_chunked(r, sel, effective_chunk_rows())
+}
+
+/// [`select`] with an explicit chunk size.
+pub fn select_chunked(r: &Relation, sel: &Selection, chunk_rows: usize) -> Relation {
+    ensure_u32_indexable(r.len()).expect("selection operand too large for u32 row indices");
+    let cols = r.columns();
+    let mut keep: Vec<u32> = Vec::new();
+    for chunk in cols.chunks(chunk_rows) {
+        match sel {
+            Selection::Eq(i, j) => sel_eq(cols, chunk, *i - 1, *j - 1, &mut keep),
+            Selection::Lt(i, j) => sel_lt(cols, chunk, *i - 1, *j - 1, &mut keep),
+            Selection::EqConst(i, c) => sel_eq_const(chunk, *i - 1, c, &mut keep),
         }
-        Selection::Lt(i, j) => {
-            let (i, j) = (*i - 1, *j - 1);
-            Box::new(move |t: &Tuple| t[i] < t[j])
+    }
+    crate::kernel::gather(r, keep)
+}
+
+/// Selection vector for `σ_{i=j}` over one chunk.
+fn sel_eq(cols: &Columns, chunk: Chunk<'_>, i: usize, j: usize, keep: &mut Vec<u32>) {
+    let base = chunk.start() as u32;
+    match (chunk.col(i), chunk.col(j)) {
+        (ColSlice::Int(a), ColSlice::Int(b)) => {
+            for (k, (&x, &y)) in a.iter().zip(b).enumerate() {
+                if x == y {
+                    keep.push(base + k as u32);
+                }
+            }
         }
-        Selection::EqConst(i, c) => {
-            let i = *i - 1;
-            let c = c.clone();
-            Box::new(move |t: &Tuple| t[i] == c)
+        // Same relation ⇒ same dictionary: code equality is string equality.
+        (ColSlice::Str { codes: a, .. }, ColSlice::Str { codes: b, .. }) => {
+            for (k, (&x, &y)) in a.iter().zip(b).enumerate() {
+                if x == y {
+                    keep.push(base + k as u32);
+                }
+            }
         }
-    };
-    Relation::from_tuples(r.arity(), r.iter().filter(|t| keep(t)).cloned())
-        .expect("selection preserves arity")
+        // An all-integer column never equals an all-string column.
+        (ColSlice::Int(_), ColSlice::Str { .. }) | (ColSlice::Str { .. }, ColSlice::Int(_)) => {}
+        _ => {
+            for k in 0..chunk.len() {
+                let row = chunk.start() + k;
+                if cols.cell_eq(i, row, cols, j, row) {
+                    keep.push(base + k as u32);
+                }
+            }
+        }
+    }
+}
+
+/// Selection vector for `σ_{i<j}` over one chunk.
+fn sel_lt(cols: &Columns, chunk: Chunk<'_>, i: usize, j: usize, keep: &mut Vec<u32>) {
+    let base = chunk.start() as u32;
+    match (chunk.col(i), chunk.col(j)) {
+        (ColSlice::Int(a), ColSlice::Int(b)) => {
+            for (k, (&x, &y)) in a.iter().zip(b).enumerate() {
+                if x < y {
+                    keep.push(base + k as u32);
+                }
+            }
+        }
+        // Same dictionary: code order is string order.
+        (ColSlice::Str { codes: a, .. }, ColSlice::Str { codes: b, .. }) => {
+            for (k, (&x, &y)) in a.iter().zip(b).enumerate() {
+                if x < y {
+                    keep.push(base + k as u32);
+                }
+            }
+        }
+        // Every integer sorts before every string, and never after.
+        (ColSlice::Int(_), ColSlice::Str { .. }) => {
+            keep.extend((0..chunk.len() as u32).map(|k| base + k));
+        }
+        (ColSlice::Str { .. }, ColSlice::Int(_)) => {}
+        _ => {
+            for k in 0..chunk.len() {
+                let row = chunk.start() + k;
+                if cols.cell_cmp(i, row, cols, j, row) == std::cmp::Ordering::Less {
+                    keep.push(base + k as u32);
+                }
+            }
+        }
+    }
+}
+
+/// Selection vector for `σ_{i=c}` over one chunk.
+fn sel_eq_const(chunk: Chunk<'_>, i: usize, c: &Value, keep: &mut Vec<u32>) {
+    let base = chunk.start() as u32;
+    match (chunk.col(i), c) {
+        (ColSlice::Int(v), Value::Int(x)) => {
+            for (k, &val) in v.iter().enumerate() {
+                if val == *x {
+                    keep.push(base + k as u32);
+                }
+            }
+        }
+        (ColSlice::Str { codes, dict }, Value::Str(s)) => {
+            // One dictionary lookup, then a dense code scan; a constant
+            // absent from the dictionary matches nothing.
+            if let Some(code) = dict.code_of(s) {
+                for (k, &cd) in codes.iter().enumerate() {
+                    if cd == code {
+                        keep.push(base + k as u32);
+                    }
+                }
+            }
+        }
+        (ColSlice::Mixed(v), c) => {
+            for (k, val) in v.iter().enumerate() {
+                if val == c {
+                    keep.push(base + k as u32);
+                }
+            }
+        }
+        // Typed column vs other-variant constant: no row can match.
+        (ColSlice::Int(_), Value::Str(_)) | (ColSlice::Str { .. }, Value::Int(_)) => {}
+    }
 }
 
 /// `τ_c(r)` — append the constant to every tuple (Definition 1(5)).
@@ -60,7 +188,7 @@ pub(crate) fn split_condition(theta: &Condition) -> (Vec<(usize, usize)>, Condit
     (eq, residual)
 }
 
-/// The physical dispatch [`join`] uses for θ, by name — the single source
+/// The kernel [`crate::kernel::join`] runs for θ, by name — the single source
 /// of truth for instrumentation reports (the planner's merge variants are
 /// chosen a level above, in `plan`).
 pub fn join_dispatch(theta: &Condition) -> &'static str {
@@ -71,7 +199,7 @@ pub fn join_dispatch(theta: &Condition) -> &'static str {
     }
 }
 
-/// The physical dispatch [`semijoin`] uses for θ, by name.
+/// The kernel [`crate::kernel::semijoin`] runs for θ, by name.
 pub fn semijoin_dispatch(theta: &Condition) -> &'static str {
     if split_condition(theta).0.is_empty() {
         "nested-loop-semijoin"
@@ -80,100 +208,14 @@ pub fn semijoin_dispatch(theta: &Condition) -> &'static str {
     }
 }
 
-/// `r₁ ⋈θ r₂` (Definition 1(6)). Hash join on the equality atoms with a
-/// residual filter; filtered nested loop when θ has no equality atom.
-pub fn join(r1: &Relation, r2: &Relation, theta: &Condition) -> Relation {
-    let (eq, residual) = split_condition(theta);
-    let out_arity = r1.arity() + r2.arity();
-    let mut out: Vec<Tuple> = Vec::new();
-    if eq.is_empty() {
-        for t1 in r1 {
-            for t2 in r2 {
-                if theta.eval(t1.values(), t2.values()) {
-                    out.push(t1.concat(t2));
-                }
-            }
-        }
-    } else {
-        let right_cols: Vec<usize> = eq.iter().map(|&(_, rc)| rc).collect();
-        let left_cols: Vec<usize> = eq.iter().map(|&(lc, _)| lc).collect();
-        let index = HashIndex::build(r2, &right_cols);
-        let mut key: Vec<Value> = Vec::with_capacity(left_cols.len());
-        for t1 in r1 {
-            key.clear();
-            key.extend(left_cols.iter().map(|&c| t1[c].clone()));
-            for &pos in index.probe(&key) {
-                let t2 = &r2.tuples()[pos];
-                if residual.eval(t1.values(), t2.values()) {
-                    out.push(t1.concat(t2));
-                }
-            }
-        }
-    }
-    Relation::from_tuples(out_arity, out).expect("join arity is n+m")
-}
-
-/// `r₁ ⋉θ r₂` (Definition 2). For equality-only θ a hash-set membership
-/// probe; for mixed conditions a hash probe plus residual check; otherwise
-/// a nested-loop `any`.
-pub fn semijoin(r1: &Relation, r2: &Relation, theta: &Condition) -> Relation {
-    let (eq, residual) = split_condition(theta);
-    let keep: Vec<Tuple> = if eq.is_empty() {
-        if r2.is_empty() {
-            Vec::new()
-        } else if theta.is_empty() {
-            // Unconditional semijoin against a nonempty right side.
-            r1.iter().cloned().collect()
-        } else {
-            r1.iter()
-                .filter(|t1| r2.iter().any(|t2| theta.eval(t1.values(), t2.values())))
-                .cloned()
-                .collect()
-        }
-    } else if residual.is_empty() {
-        let right_cols: Vec<usize> = eq.iter().map(|&(_, rc)| rc).collect();
-        let left_cols: Vec<usize> = eq.iter().map(|&(lc, _)| lc).collect();
-        let mut keys: FxHashSet<Vec<Value>> = FxHashSet::default();
-        for t2 in r2 {
-            keys.insert(right_cols.iter().map(|&c| t2[c].clone()).collect());
-        }
-        let mut key: Vec<Value> = Vec::with_capacity(left_cols.len());
-        r1.iter()
-            .filter(|t1| {
-                key.clear();
-                key.extend(left_cols.iter().map(|&c| t1[c].clone()));
-                keys.contains(key.as_slice())
-            })
-            .cloned()
-            .collect()
-    } else {
-        let right_cols: Vec<usize> = eq.iter().map(|&(_, rc)| rc).collect();
-        let left_cols: Vec<usize> = eq.iter().map(|&(lc, _)| lc).collect();
-        let index = HashIndex::build(r2, &right_cols);
-        let mut key: Vec<Value> = Vec::with_capacity(left_cols.len());
-        r1.iter()
-            .filter(|t1| {
-                key.clear();
-                key.extend(left_cols.iter().map(|&c| t1[c].clone()));
-                index
-                    .probe(&key)
-                    .iter()
-                    .any(|&pos| residual.eval(t1.values(), r2.tuples()[pos].values()))
-            })
-            .cloned()
-            .collect()
-    };
-    Relation::from_tuples(r1.arity(), keep).expect("semijoin preserves left arity")
-}
-
 /// The length `k` of the shared sort-key prefix when θ's equality atoms
 /// pair the first `k` columns of both operands **in order** — i.e. the
 /// deduplicated equality pairs are exactly `{1=1, 2=2, …, k=k}` (1-based).
 ///
 /// Relations are stored in canonical (lexicographic) order, so both
 /// operands of such a condition are already sorted by their key: the
-/// planner in [`crate::plan`] can then run [`merge_join`] /
-/// [`merge_semijoin`] without any sort or hash-table build. Returns `None`
+/// planner in [`crate::plan`] can then run [`crate::kernel::merge_join`] /
+/// [`crate::kernel::merge_semijoin`] without any sort or hash-table build. Returns `None`
 /// when θ has no equality atom or the equalities are not an aligned
 /// prefix.
 pub fn merge_prefix_len(theta: &Condition) -> Option<usize> {
@@ -190,98 +232,6 @@ pub fn merge_prefix_len(theta: &Condition) -> Option<usize> {
     }
     Some(eq.len())
 }
-
-/// Compare the first `k` components of two tuples.
-#[inline]
-fn cmp_prefix(a: &Tuple, b: &Tuple, k: usize) -> std::cmp::Ordering {
-    a.values()[..k].cmp(&b.values()[..k])
-}
-
-/// End of the run of tuples sharing `ts[start]`'s first `k` components.
-#[inline]
-fn run_end(ts: &[Tuple], start: usize, k: usize) -> usize {
-    let mut end = start + 1;
-    while end < ts.len() && cmp_prefix(&ts[end], &ts[start], k) == std::cmp::Ordering::Equal {
-        end += 1;
-    }
-    end
-}
-
-/// Merge equi-join on an aligned key prefix of length `k` (see
-/// [`merge_prefix_len`]), with `residual` applied to each candidate pair.
-///
-/// Both inputs are in canonical order, hence sorted by the key; the output
-/// is produced already in canonical order (pairs are emitted in
-/// lexicographic `(t₁, t₂)` order and are pairwise distinct), so no
-/// re-sort or dedup is needed.
-pub fn merge_join(r1: &Relation, r2: &Relation, k: usize, residual: &Condition) -> Relation {
-    let (a, b) = (r1.tuples(), r2.tuples());
-    let mut out: Vec<Tuple> = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match cmp_prefix(&a[i], &b[j], k) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let (i_end, j_end) = (run_end(a, i, k), run_end(b, j, k));
-                for t1 in &a[i..i_end] {
-                    for t2 in &b[j..j_end] {
-                        if residual.eval(t1.values(), t2.values()) {
-                            out.push(t1.concat(t2));
-                        }
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    Relation::from_sorted_tuples(r1.arity() + r2.arity(), out)
-}
-
-/// Merge equi-semijoin on an aligned key prefix of length `k` (see
-/// [`merge_prefix_len`]). A left tuple survives iff its key block on the
-/// right contains a tuple passing `residual`. Output is a subsequence of
-/// the (canonically ordered) left input — no re-sort needed.
-pub fn merge_semijoin(r1: &Relation, r2: &Relation, k: usize, residual: &Condition) -> Relation {
-    let (a, b) = (r1.tuples(), r2.tuples());
-    let mut out: Vec<Tuple> = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match cmp_prefix(&a[i], &b[j], k) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => {
-                let (i_end, j_end) = (run_end(a, i, k), run_end(b, j, k));
-                for t1 in &a[i..i_end] {
-                    if residual.is_empty()
-                        || b[j..j_end]
-                            .iter()
-                            .any(|t2| residual.eval(t1.values(), t2.values()))
-                    {
-                        out.push(t1.clone());
-                    }
-                }
-                i = i_end;
-                j = j_end;
-            }
-        }
-    }
-    Relation::from_sorted_tuples(r1.arity(), out)
-}
-
-// ---------------------------------------------------------------------------
-// Partition-parallel join and semijoin (kernel-layer re-exports)
-// ---------------------------------------------------------------------------
-
-// The partition-parallel machinery lives in [`crate::kernel`], where it
-// composes with the `Execution` knob (row or vectorized per-partition
-// kernels). These row-execution entry points are re-exported here so the
-// historical `ops::par_*` / `ops::PartitionStat` paths keep working.
-pub use crate::kernel::{
-    par_join, par_join_stats, par_merge_join_stats, par_merge_semijoin_stats, par_semijoin,
-    par_semijoin_stats, PartitionStat,
-};
 
 /// `γ_{cols; count}(r)` — group by the 1-based `cols` and append the group
 /// cardinality as an integer (Section 5). With `cols` empty the result is a
@@ -310,7 +260,9 @@ pub fn group_count(r: &Relation, cols: &[usize]) -> Relation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sj_storage::tuple;
+    use crate::evaluate_reference;
+    use sj_algebra::Expr;
+    use sj_storage::{tuple, Database};
 
     fn r(rows: &[&[i64]]) -> Relation {
         Relation::from_int_rows(rows)
@@ -333,83 +285,49 @@ mod tests {
             select(&a, &Selection::EqConst(1, Value::int(2))),
             r(&[&[2, 1]])
         );
+        assert!(select_chunked(&Relation::empty(2), &Selection::Eq(1, 2), 4).is_empty());
+    }
+
+    /// Chunked selection equals the reference on int, string and mixed
+    /// columns at every chunk size, including sizes straddling a chunk
+    /// boundary.
+    #[test]
+    fn select_equals_reference_across_chunk_sizes() {
+        let rows: Vec<Vec<i64>> = (0..50).map(|i| vec![i % 7, i % 3, i]).collect();
+        let refs: Vec<&[i64]> = rows.iter().map(|r| r.as_slice()).collect();
+        let mixed = Relation::from_tuples(
+            3,
+            vec![tuple![1, 1, 0], tuple![1, "x", 0], tuple!["x", "x", 0]],
+        )
+        .unwrap();
+        let strings =
+            Relation::from_str_rows(&[&["a", "a", "b"], &["a", "b", "b"], &["b", "b", "a"]]);
+        for rel in [r(&refs), mixed, strings] {
+            let mut db = Database::new();
+            db.set("R", rel.clone());
+            for sel in [
+                Selection::Eq(1, 2),
+                Selection::Lt(1, 2),
+                Selection::Lt(2, 1),
+                Selection::EqConst(1, Value::int(3)),
+                Selection::EqConst(1, Value::int(99)),
+                Selection::EqConst(1, Value::str("x")),
+                Selection::EqConst(2, Value::str("b")),
+            ] {
+                let want =
+                    evaluate_reference(&Expr::Select(sel.clone(), Box::new(Expr::rel("R"))), &db)
+                        .unwrap();
+                for chunk in [1usize, 2, 3, 7, 49, 50, 51, DEFAULT_CHUNK_ROWS] {
+                    assert_eq!(select_chunked(&rel, &sel, chunk), want, "{sel:?} @ {chunk}");
+                }
+            }
+        }
     }
 
     #[test]
     fn const_tag_appends() {
         let a = r(&[&[1], &[2]]);
         assert_eq!(const_tag(&a, &Value::int(9)), r(&[&[1, 9], &[2, 9]]));
-    }
-
-    #[test]
-    fn equi_join_matches_definition() {
-        let a = r(&[&[1, 10], &[2, 20]]);
-        let b = r(&[&[10, 100], &[10, 101], &[30, 300]]);
-        let j = join(&a, &b, &Condition::eq(2, 1));
-        assert_eq!(j, r(&[&[1, 10, 10, 100], &[1, 10, 10, 101]]));
-    }
-
-    #[test]
-    fn cartesian_product_via_empty_condition() {
-        let a = r(&[&[1], &[2]]);
-        let b = r(&[&[8], &[9]]);
-        let j = join(&a, &b, &Condition::always());
-        assert_eq!(j.len(), 4);
-        assert_eq!(j.arity(), 2);
-    }
-
-    #[test]
-    fn theta_join_with_inequalities() {
-        let a = r(&[&[1], &[5]]);
-        let b = r(&[&[3]]);
-        assert_eq!(join(&a, &b, &Condition::lt(1, 1)), r(&[&[1, 3]]));
-        assert_eq!(join(&a, &b, &Condition::gt(1, 1)), r(&[&[5, 3]]));
-        assert_eq!(join(&a, &b, &Condition::neq(1, 1)), r(&[&[1, 3], &[5, 3]]));
-    }
-
-    #[test]
-    fn mixed_condition_join_uses_residual_filter() {
-        // equal on col1, strictly increasing on col2
-        let a = r(&[&[1, 1], &[1, 5], &[2, 1]]);
-        let b = r(&[&[1, 3], &[2, 0]]);
-        let theta = Condition::eq(1, 1).and(2, CompOp::Lt, 2);
-        assert_eq!(join(&a, &b, &theta), r(&[&[1, 1, 1, 3]]));
-    }
-
-    #[test]
-    fn semijoin_matches_definition() {
-        let a = r(&[&[1, 10], &[2, 20], &[3, 10]]);
-        let b = r(&[&[10, 0], &[10, 1]]);
-        // duplicates on the right do not duplicate output (set semantics)
-        let s = semijoin(&a, &b, &Condition::eq(2, 1));
-        assert_eq!(s, r(&[&[1, 10], &[3, 10]]));
-    }
-
-    #[test]
-    fn semijoin_equals_join_project() {
-        let a = r(&[&[1, 10], &[2, 20], &[3, 10]]);
-        let b = r(&[&[10, 0], &[20, 9], &[40, 2]]);
-        for theta in [
-            Condition::eq(2, 1),
-            Condition::lt(1, 2),
-            Condition::eq(2, 1).and(1, CompOp::Lt, 2),
-            Condition::neq(1, 1),
-            Condition::always(),
-        ] {
-            let via_join = project(&join(&a, &b, &theta), &[1, 2]);
-            let direct = semijoin(&a, &b, &theta);
-            assert_eq!(direct, via_join, "theta = {theta}");
-        }
-    }
-
-    #[test]
-    fn unconditional_semijoin_is_emptiness_test() {
-        let a = r(&[&[1], &[2]]);
-        assert_eq!(
-            semijoin(&a, &Relation::empty(3), &Condition::always()),
-            Relation::empty(1)
-        );
-        assert_eq!(semijoin(&a, &r(&[&[9]]), &Condition::always()), a);
     }
 
     #[test]
@@ -466,170 +384,6 @@ mod tests {
         assert_eq!(
             merge_prefix_len(&Condition::eq_pairs([(1, 1), (2, 1)])),
             None
-        );
-    }
-
-    #[test]
-    fn merge_join_matches_hash_join() {
-        let a = r(&[&[1, 10], &[1, 20], &[2, 5], &[3, 1], &[3, 2]]);
-        let b = r(&[&[1, 100], &[1, 200], &[3, 7], &[4, 9]]);
-        for theta in [
-            Condition::eq(1, 1),
-            Condition::eq(1, 1).and(2, CompOp::Lt, 2),
-            Condition::eq(1, 1).and(2, CompOp::Neq, 2),
-        ] {
-            let k = merge_prefix_len(&theta).unwrap();
-            let (_, residual) = split_condition(&theta);
-            assert_eq!(
-                merge_join(&a, &b, k, &residual),
-                join(&a, &b, &theta),
-                "theta = {theta}"
-            );
-        }
-        // Composite prefix key.
-        let c = r(&[&[1, 10, 0], &[1, 10, 1], &[2, 5, 2]]);
-        let d = r(&[&[1, 10, 7], &[2, 6, 8]]);
-        let theta = Condition::eq_pairs([(1, 1), (2, 2)]);
-        assert_eq!(
-            merge_join(&c, &d, 2, &Condition::always()),
-            join(&c, &d, &theta)
-        );
-        // Empty operands.
-        assert_eq!(
-            merge_join(&Relation::empty(2), &b, 1, &Condition::always()),
-            Relation::empty(4)
-        );
-    }
-
-    #[test]
-    fn merge_semijoin_matches_hash_semijoin() {
-        let a = r(&[&[1, 10], &[1, 20], &[2, 5], &[3, 1]]);
-        let b = r(&[&[1, 15], &[3, 0], &[4, 9]]);
-        for theta in [
-            Condition::eq(1, 1),
-            Condition::eq(1, 1).and(2, CompOp::Lt, 2),
-            Condition::eq(1, 1).and(2, CompOp::Gt, 2),
-        ] {
-            let k = merge_prefix_len(&theta).unwrap();
-            let (_, residual) = split_condition(&theta);
-            assert_eq!(
-                merge_semijoin(&a, &b, k, &residual),
-                semijoin(&a, &b, &theta),
-                "theta = {theta}"
-            );
-        }
-        assert_eq!(
-            merge_semijoin(&a, &Relation::empty(2), 1, &Condition::always()),
-            Relation::empty(2)
-        );
-    }
-
-    #[test]
-    fn par_join_and_semijoin_match_serial_at_every_worker_count() {
-        // 300 left / 200 right tuples over 23 keys: every partition of
-        // every tested worker count is populated.
-        let lrows: Vec<Vec<i64>> = (0..300).map(|i| vec![i % 23, i]).collect();
-        let lrefs: Vec<&[i64]> = lrows.iter().map(|r| r.as_slice()).collect();
-        let a = r(&lrefs);
-        let rrows: Vec<Vec<i64>> = (0..200).map(|i| vec![i % 23, i % 17]).collect();
-        let rrefs: Vec<&[i64]> = rrows.iter().map(|r| r.as_slice()).collect();
-        let b = r(&rrefs);
-        for theta in [
-            Condition::eq(1, 1),                       // merge-able prefix
-            Condition::eq(2, 1),                       // hash
-            Condition::eq(1, 1).and(2, CompOp::Lt, 2), // hash + residual
-            Condition::lt(1, 1),                       // nested loop
-            Condition::always(),                       // cartesian
-        ] {
-            let want_join = join(&a, &b, &theta);
-            let want_semi = semijoin(&a, &b, &theta);
-            for workers in [1usize, 2, 4, 8] {
-                assert_eq!(
-                    par_join(&a, &b, &theta, workers),
-                    want_join,
-                    "join {theta} @ {workers}"
-                );
-                assert_eq!(
-                    par_semijoin(&a, &b, &theta, workers),
-                    want_semi,
-                    "semijoin {theta} @ {workers}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn par_merge_variants_match_serial() {
-        let lrows: Vec<Vec<i64>> = (0..240).map(|i| vec![i % 19, i]).collect();
-        let lrefs: Vec<&[i64]> = lrows.iter().map(|r| r.as_slice()).collect();
-        let a = r(&lrefs);
-        let rrows: Vec<Vec<i64>> = (0..160).map(|i| vec![i % 19, i % 13]).collect();
-        let rrefs: Vec<&[i64]> = rrows.iter().map(|r| r.as_slice()).collect();
-        let b = r(&rrefs);
-        let theta = Condition::eq(1, 1).and(2, CompOp::Neq, 2);
-        let k = merge_prefix_len(&theta).unwrap();
-        let (_, residual) = split_condition(&theta);
-        let want_join = merge_join(&a, &b, k, &residual);
-        let want_semi = merge_semijoin(&a, &b, k, &residual);
-        for workers in [1usize, 3, 4] {
-            let (j, jstats) = par_merge_join_stats(&a, &b, k, &residual, workers);
-            assert_eq!(j, want_join, "merge-join @ {workers}");
-            assert_eq!(jstats.len(), workers);
-            let (s, _) = par_merge_semijoin_stats(&a, &b, k, &residual, workers);
-            assert_eq!(s, want_semi, "merge-semijoin @ {workers}");
-        }
-    }
-
-    #[test]
-    fn par_stats_account_for_every_tuple() {
-        let lrows: Vec<Vec<i64>> = (0..100).map(|i| vec![i % 11, i]).collect();
-        let lrefs: Vec<&[i64]> = lrows.iter().map(|r| r.as_slice()).collect();
-        let a = r(&lrefs);
-        let b = r(&[&[1, 5], &[2, 9], &[3, 1]]);
-        let (out, stats) = par_join_stats(&a, &b, &Condition::eq(1, 1), 4);
-        assert_eq!(stats.len(), 4);
-        assert_eq!(stats.iter().map(|s| s.left_rows).sum::<usize>(), a.len());
-        assert_eq!(stats.iter().map(|s| s.right_rows).sum::<usize>(), b.len());
-        assert_eq!(stats.iter().map(|s| s.out_rows).sum::<usize>(), out.len());
-        for (i, s) in stats.iter().enumerate() {
-            assert_eq!(s.partition, i);
-        }
-        // The no-equality path chunks the left side and replicates the
-        // right side into every chunk.
-        let (_, nl_stats) = par_join_stats(&a, &b, &Condition::always(), 4);
-        assert!(nl_stats.iter().all(|s| s.right_rows == b.len()));
-        assert_eq!(nl_stats.iter().map(|s| s.left_rows).sum::<usize>(), a.len());
-    }
-
-    #[test]
-    fn par_operators_on_empty_inputs() {
-        let e2 = Relation::empty(2);
-        let b = r(&[&[1, 5]]);
-        for workers in [1usize, 4] {
-            assert_eq!(
-                par_join(&e2, &b, &Condition::eq(1, 1), workers),
-                Relation::empty(4)
-            );
-            assert_eq!(
-                par_semijoin(&e2, &b, &Condition::always(), workers),
-                Relation::empty(2)
-            );
-            assert_eq!(
-                par_join(&b, &e2, &Condition::eq(1, 1), workers),
-                Relation::empty(4)
-            );
-        }
-    }
-
-    #[test]
-    fn join_with_strings() {
-        let visits = Relation::from_str_rows(&[&["alex", "pareto bar"]]);
-        let serves = Relation::from_str_rows(&[&["pareto bar", "westmalle"]]);
-        let j = join(&visits, &serves, &Condition::eq(2, 1));
-        assert_eq!(j.len(), 1);
-        assert_eq!(
-            j.tuples()[0],
-            tuple!["alex", "pareto bar", "pareto bar", "westmalle"]
         );
     }
 }

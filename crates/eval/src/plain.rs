@@ -1,7 +1,7 @@
 //! The plain (un-instrumented) recursive evaluator.
 
 use crate::error::EvalError;
-use crate::ops;
+use crate::{kernel, ops};
 use sj_algebra::Expr;
 use sj_storage::{Database, Relation};
 
@@ -27,9 +27,8 @@ pub fn evaluate(expr: &Expr, db: &Database) -> Result<Relation, EvalError> {
     Ok(eval_unchecked(expr, db))
 }
 
-/// Recursive evaluation without re-validation. `pub(crate)` so the
-/// instrumented evaluator shares the operator implementations.
-pub(crate) fn eval_unchecked(expr: &Expr, db: &Database) -> Relation {
+/// Recursive evaluation without re-validation.
+fn eval_unchecked(expr: &Expr, db: &Database) -> Relation {
     match expr {
         Expr::Rel(name) => db.get(name).expect("validated: relation exists").clone(),
         Expr::Union(a, b) => {
@@ -48,12 +47,12 @@ pub(crate) fn eval_unchecked(expr: &Expr, db: &Database) -> Relation {
         Expr::Join(theta, a, b) => {
             let ra = eval_unchecked(a, db);
             let rb = eval_unchecked(b, db);
-            ops::join(&ra, &rb, theta)
+            kernel::join(&ra, &rb, theta, 1).0
         }
         Expr::Semijoin(theta, a, b) => {
             let ra = eval_unchecked(a, db);
             let rb = eval_unchecked(b, db);
-            ops::semijoin(&ra, &rb, theta)
+            kernel::semijoin(&ra, &rb, theta, 1).0
         }
         Expr::GroupCount(cols, a) => ops::group_count(&eval_unchecked(a, db), cols),
     }

@@ -24,7 +24,8 @@
 //!    key* and the planner picks a sort-free merge join/semijoin; other
 //!    equality conditions get the hash variants, and equality-free
 //!    conditions fall back to filtered nested loops. Non-equality atoms
-//!    ride along as residual filters, reusing the `ops` machinery.
+//!    ride along as residual filters. Every choice runs the one
+//!    [`kernel`] for its operator.
 //!
 //! Entry points: [`evaluate_planned`] (drop-in replacement for
 //! [`crate::evaluate`]), [`evaluate_planned_instrumented`] (returns a
@@ -33,13 +34,10 @@
 //! the DAG with sharing annotations).
 
 use crate::error::EvalError;
-use crate::exec::Execution;
 use crate::instrumented::NodeStat;
 use crate::joinorder::{self, JoinOrder};
-use crate::kernel;
+use crate::kernel::{self, PartitionStat};
 use crate::ops;
-use crate::ops::PartitionStat;
-use crate::ops_vec;
 use crate::par::Parallelism;
 use sj_algebra::{AlgebraError, Condition, Expr, JoinGraph, Selection};
 use sj_stats::{CardEst, CostModel, Estimator, StatsSource};
@@ -283,24 +281,21 @@ impl PhysicalPlan {
     /// concurrent scoped threads and join/semijoin nodes additionally run
     /// partition-parallel ([`kernel::join`] and friends). Output is
     /// byte-identical to [`PhysicalPlan::execute`] for every worker
-    /// count. Serial per-node work uses the process-default
-    /// [`Execution`] mode ([`Execution::from_env`]); use
-    /// [`PhysicalPlan::execute_with_execution`] to pin it.
+    /// count.
     pub fn execute_with(&self, db: &Database, par: Parallelism) -> Result<Relation, EvalError> {
-        self.execute_with_execution(db, par, Execution::from_env())
+        let root = self.run(db, par.workers(), |_, _, _, _, _| {})?;
+        Ok(Arc::try_unwrap(root).unwrap_or_else(|arc| arc.as_ref().clone()))
     }
 
-    /// Execute under explicit [`Parallelism`] **and** [`Execution`]
-    /// knobs. Output is byte-identical across all four combinations —
-    /// the knobs choose implementations, never semantics.
+    /// [`PhysicalPlan::execute_with`]; the [`crate::Execution`] argument
+    /// selects nothing and stays only for existing callers.
     pub fn execute_with_execution(
         &self,
         db: &Database,
         par: Parallelism,
-        exec: Execution,
+        _exec: crate::Execution,
     ) -> Result<Relation, EvalError> {
-        let root = self.run(db, par.workers(), exec, |_, _, _, _, _| {})?;
-        Ok(Arc::try_unwrap(root).unwrap_or_else(|arc| arc.as_ref().clone()))
+        self.execute_with(db, par)
     }
 
     /// Execute with per-node instrumentation (serial).
@@ -317,23 +312,11 @@ impl PhysicalPlan {
         db: &Database,
         par: Parallelism,
     ) -> Result<PlannedReport, EvalError> {
-        self.execute_instrumented_with_execution(db, par, Execution::from_env())
-    }
-
-    /// [`PhysicalPlan::execute_instrumented_with`] under an explicit
-    /// [`Execution`] mode.
-    pub fn execute_instrumented_with_execution(
-        &self,
-        db: &Database,
-        par: Parallelism,
-        exec: Execution,
-    ) -> Result<PlannedReport, EvalError> {
         let workers = par.workers();
         let mut slots: Vec<Option<NodeStat>> = vec![None; self.nodes.len()];
         let root = self.run(
             db,
             workers,
-            exec,
             |id, node: &PlanNode, rel: &Relation, elapsed, partitions: &[PartitionStat]| {
                 slots[id] = Some(NodeStat {
                     id,
@@ -372,21 +355,15 @@ impl PhysicalPlan {
     /// tag, grouping) always run serially — their cost is one pass over
     /// input the partitioning itself would have to make.
     ///
-    /// Join/semijoin work routes through the unified kernel layer
-    /// ([`crate::kernel`]), which dispatches on **both** knobs at once:
-    /// serial nodes run the row or chunked-columnar serial operator,
-    /// partitioned nodes run the row index-view or vectorized
-    /// gather-view kernel per partition. `Threads(n)` therefore
-    /// compounds with [`Execution::Vectorized`] instead of silently
-    /// degrading parallel nodes to row execution, and every
-    /// `(Execution, Parallelism)` quadrant stays byte-identical.
+    /// Join/semijoin work runs the operator's one [`crate::kernel`],
+    /// serial nodes as a single partition, so every worker count stays
+    /// byte-identical.
     fn exec_op(
         &self,
         node: &PlanNode,
         kids: &[&Relation],
         db: &Database,
         workers: usize,
-        exec: Execution,
     ) -> Result<(Arc<Relation>, Vec<PartitionStat>), EvalError> {
         let serial = |r: Relation| (Arc::new(r), Vec::new());
         let workers = if kids.len() == 2 {
@@ -423,30 +400,26 @@ impl PhysicalPlan {
                     .expect("validated: arities agree"),
             ),
             PhysOp::Project(cols) => serial(ops::project(kids[0], cols)),
-            PhysOp::Filter(sel) => serial(if exec.is_vectorized() {
-                ops_vec::select(kids[0], sel)
-            } else {
-                ops::select(kids[0], sel)
-            }),
+            PhysOp::Filter(sel) => serial(ops::select(kids[0], sel)),
             PhysOp::Tag(c) => serial(ops::const_tag(kids[0], c)),
             PhysOp::HashJoin(theta) | PhysOp::NestedLoopJoin(theta) => {
-                let (rel, parts) = kernel::join(kids[0], kids[1], theta, exec, workers);
+                let (rel, parts) = kernel::join(kids[0], kids[1], theta, workers);
                 (Arc::new(rel), parts)
             }
             PhysOp::MergeJoin { theta, prefix } => {
                 let (_, residual) = ops::split_condition(theta);
                 let (rel, parts) =
-                    kernel::merge_join(kids[0], kids[1], *prefix, &residual, exec, workers);
+                    kernel::merge_join(kids[0], kids[1], *prefix, &residual, workers);
                 (Arc::new(rel), parts)
             }
             PhysOp::HashSemijoin(theta) | PhysOp::NestedLoopSemijoin(theta) => {
-                let (rel, parts) = kernel::semijoin(kids[0], kids[1], theta, exec, workers);
+                let (rel, parts) = kernel::semijoin(kids[0], kids[1], theta, workers);
                 (Arc::new(rel), parts)
             }
             PhysOp::MergeSemijoin { theta, prefix } => {
                 let (_, residual) = ops::split_condition(theta);
                 let (rel, parts) =
-                    kernel::merge_semijoin(kids[0], kids[1], *prefix, &residual, exec, workers);
+                    kernel::merge_semijoin(kids[0], kids[1], *prefix, &residual, workers);
                 (Arc::new(rel), parts)
             }
             PhysOp::HashGroupCount(cols) => serial(ops::group_count(kids[0], cols)),
@@ -460,7 +433,7 @@ impl PhysicalPlan {
                     None => total >= PAR_MIN_NODE_INPUT,
                 };
                 let w = if worthwhile { workers } else { 1 };
-                let (rel, parts) = kernel::multiway_join(kids, spec, exec, w);
+                let (rel, parts) = kernel::multiway_join(kids, spec, w);
                 (Arc::new(rel), parts)
             }
         })
@@ -478,7 +451,6 @@ impl PhysicalPlan {
         &self,
         db: &Database,
         workers: usize,
-        exec: Execution,
         mut observe: impl FnMut(NodeId, &PlanNode, &Relation, Duration, &[PartitionStat]),
     ) -> Result<Arc<Relation>, EvalError> {
         let mut pending_consumers = vec![0usize; self.nodes.len()];
@@ -516,7 +488,7 @@ impl PhysicalPlan {
                     input = kids.iter().map(|k| k.len()).sum::<usize>()
                 );
                 let start = Instant::now();
-                let (rel, parts) = self.exec_op(node, &kids, db, 1, exec)?;
+                let (rel, parts) = self.exec_op(node, &kids, db, 1)?;
                 span.attr("rows", rel.len());
                 drop(span);
                 observe(id, node, &rel, start.elapsed(), &parts);
@@ -542,7 +514,7 @@ impl PhysicalPlan {
                         input = kids.iter().map(|k| k.len()).sum::<usize>()
                     );
                     let start = Instant::now();
-                    let out = self.exec_op(node, &kids, db, workers, exec);
+                    let out = self.exec_op(node, &kids, db, workers);
                     if let Ok((rel, _)) = &out {
                         span.attr("rows", rel.len());
                     }
@@ -577,7 +549,7 @@ impl PhysicalPlan {
                                             input = kids.iter().map(|k| k.len()).sum::<usize>()
                                         );
                                         let start = Instant::now();
-                                        let out = self.exec_op(node, &kids, db, node_workers, exec);
+                                        let out = self.exec_op(node, &kids, db, node_workers);
                                         if let Ok((rel, _)) = &out {
                                             span.attr("rows", rel.len());
                                         }
@@ -1263,9 +1235,7 @@ mod tests {
         db.set("R", Relation::from_int_rows(&[&[1], &[2]]));
         let plan = PhysicalPlan::of(&Expr::rel("R"), &db.schema()).unwrap();
         // A bare scan's result must be the stored allocation itself.
-        let shared = plan
-            .run(&db, 1, Execution::default(), |_, _, _, _, _| {})
-            .unwrap();
+        let shared = plan.run(&db, 1, |_, _, _, _, _| {}).unwrap();
         assert!(std::ptr::eq(shared.as_ref(), db.get("R").unwrap()));
     }
 

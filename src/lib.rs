@@ -73,7 +73,7 @@ pub use sj_storage as storage;
 pub use sj_workload as workload;
 
 pub use sj_eval::{
-    Engine, Execution, Instrument, JoinOrder, Parallelism, Query, QueryOutput, StatsMode, Strategy,
+    Engine, Instrument, JoinOrder, Parallelism, Query, QueryOutput, StatsMode, Strategy,
 };
 pub use sj_setjoin::Registry;
 pub use sj_stats::{CostModel, TableStats};
@@ -82,9 +82,8 @@ pub use sj_stats::{CostModel, TableStats};
 pub mod prelude {
     pub use sj_algebra::{Condition, Expr, OptimizeLevel, Pass, Pipeline};
     pub use sj_eval::{
-        evaluate, evaluate_instrumented, AlgorithmChoice, Engine, EvalReport, Execution,
-        Instrument, JoinOrder, Parallelism, Query, QueryOutput, Report, SetOpOutput, StatsMode,
-        Strategy,
+        evaluate, evaluate_instrumented, AlgorithmChoice, Engine, EvalReport, Instrument,
+        JoinOrder, Parallelism, Query, QueryOutput, Report, SetOpOutput, StatsMode, Strategy,
     };
     pub use sj_setjoin::{
         divide, set_join, ComplexityClass, DivisionSemantics, Registry, SetPredicate,

@@ -1,7 +1,6 @@
 //! Differential suite for the join-order enumerator and the multiway
 //! join: every [`JoinOrder`] mode must be byte-identical to the
-//! as-written order across `Execution::{RowAtATime, Vectorized}` ×
-//! `Threads{1, 4}` — reordering and the worst-case-optimal operator are
+//! as-written order across `Threads{1, 4}` — reordering and the worst-case-optimal operator are
 //! pure plan-level decisions, invisible in the answer. The fixed cases
 //! cover the shapes the enumerator finds degenerate (single relations,
 //! self-joins, empty inputs, stars, collapsing chains, expressions
@@ -15,7 +14,7 @@
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
 use setjoins::prelude::*;
-use setjoins::{eval::Execution, JoinOrder};
+use setjoins::JoinOrder;
 use sj_workload::{CyclicWorkload, EdgeDist};
 
 const MODES: [JoinOrder; 3] = [JoinOrder::AsWritten, JoinOrder::Greedy, JoinOrder::Dp];
@@ -39,7 +38,7 @@ fn worker_counts() -> Vec<usize> {
     }
 }
 
-/// Run `e` under every (mode × stats × execution × workers) cell and
+/// Run `e` under every (mode × stats × workers) cell and
 /// assert each answer byte-identical to the as-written baseline.
 fn differential(name: &str, db: &Database, e: &Expr) {
     let baseline = Engine::new(db.clone())
@@ -51,21 +50,18 @@ fn differential(name: &str, db: &Database, e: &Expr) {
         .relation;
     for mode in MODES {
         for stats in [StatsMode::Off, StatsMode::Analyze] {
-            for exec in [Execution::RowAtATime, Execution::Vectorized] {
-                for &workers in &worker_counts() {
-                    let out = Engine::new(db.clone())
-                        .stats(stats)
-                        .join_order(mode)
-                        .execution(exec)
-                        .parallelism(Parallelism::Threads(workers))
-                        .query(e.clone())
-                        .run()
-                        .unwrap();
-                    assert_eq!(
-                        out.relation, baseline,
-                        "{name}: {mode} × {stats} × {exec:?} × {workers}w diverged"
-                    );
-                }
+            for &workers in &worker_counts() {
+                let out = Engine::new(db.clone())
+                    .stats(stats)
+                    .join_order(mode)
+                    .parallelism(Parallelism::Threads(workers))
+                    .query(e.clone())
+                    .run()
+                    .unwrap();
+                assert_eq!(
+                    out.relation, baseline,
+                    "{name}: {mode} × {stats} × {workers}w diverged"
+                );
             }
         }
     }
@@ -225,7 +221,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Random ternary chains and triangle closures: every mode at every
-    /// execution and worker count equals the as-written answer.
+    /// worker count equals the as-written answer.
     #[test]
     fn modes_agree_on_random_databases(
         r in arb_relation(2),
@@ -255,21 +251,18 @@ proptest! {
             .unwrap()
             .relation;
         for mode in MODES {
-            for exec in [Execution::RowAtATime, Execution::Vectorized] {
-                for &workers in &worker_counts() {
-                    let out = Engine::new(db.clone())
-                        .stats(StatsMode::Analyze)
-                        .join_order(mode)
-                        .execution(exec)
-                        .parallelism(Parallelism::Threads(workers))
-                        .query(e.clone())
-                        .run()
-                        .unwrap();
-                    prop_assert_eq!(
-                        &out.relation, &baseline,
-                        "{} × {:?} × {}w diverged on query {}", mode, exec, workers, qi
-                    );
-                }
+            for &workers in &worker_counts() {
+                let out = Engine::new(db.clone())
+                    .stats(StatsMode::Analyze)
+                    .join_order(mode)
+                    .parallelism(Parallelism::Threads(workers))
+                    .query(e.clone())
+                    .run()
+                    .unwrap();
+                prop_assert_eq!(
+                    &out.relation, &baseline,
+                    "{} × {}w diverged on query {}", mode, workers, qi
+                );
             }
         }
     }

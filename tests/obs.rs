@@ -1,7 +1,7 @@
 //! Workspace observability suite: instrumentation must be
 //! **differentially invisible** — turning [`Instrument::Profile`] on or
-//! installing a trace collector never changes an answer, across both
-//! [`Execution`] modes and every tested worker count — while the
+//! installing a trace collector never changes an answer, at every
+//! tested worker count — while the
 //! rendered artifacts (planned reports, query profiles, served traces,
 //! the Prometheus-style exposition) keep the shape golden tests can
 //! pin.
@@ -60,8 +60,8 @@ fn division_db() -> Database {
 
 /// The tentpole invariant: `Instrument::Off`, `Instrument::Profile`,
 /// and a run under an installed [`RingCollector`] produce byte-identical
-/// relations on the paper's division plans, for both execution modes at
-/// every tested worker count.
+/// relations on the paper's division plans at every tested worker
+/// count.
 #[test]
 fn observability_is_differentially_invisible() {
     let _guard = lock();
@@ -77,41 +77,35 @@ fn observability_is_differentially_invisible() {
             .run()
             .unwrap()
             .relation;
-        for exec in [Execution::RowAtATime, Execution::Vectorized] {
-            for &n in &thread_counts() {
-                let build = || {
-                    Engine::new(db.clone())
-                        .strategy(Strategy::Planned)
-                        .parallelism(Parallelism::Threads(n))
-                        .execution(exec)
-                };
-                let off = build().query(e.clone()).run().unwrap().relation;
-                assert_eq!(off, reference, "{e} {exec} @{n}w: Off ≠ reference");
+        for &n in &thread_counts() {
+            let build = || {
+                Engine::new(db.clone())
+                    .strategy(Strategy::Planned)
+                    .parallelism(Parallelism::Threads(n))
+            };
+            let off = build().query(e.clone()).run().unwrap().relation;
+            assert_eq!(off, reference, "{e} @{n}w: Off ≠ reference");
 
-                let profiled = build()
-                    .instrument(Instrument::Profile)
-                    .query(e.clone())
-                    .run()
-                    .unwrap();
-                assert_eq!(
-                    profiled.relation, reference,
-                    "{e} {exec} @{n}w: Profile ≠ reference"
-                );
-                assert!(
-                    profiled.profile().is_some(),
-                    "Instrument::Profile yields a profile"
-                );
+            let profiled = build()
+                .instrument(Instrument::Profile)
+                .query(e.clone())
+                .run()
+                .unwrap();
+            assert_eq!(
+                profiled.relation, reference,
+                "{e} @{n}w: Profile ≠ reference"
+            );
+            assert!(
+                profiled.profile().is_some(),
+                "Instrument::Profile yields a profile"
+            );
 
-                let ring = Arc::new(RingCollector::new(1 << 14));
-                let collected = setjoins::obs::with_collector(ring.clone(), || {
-                    build().query(e.clone()).run().unwrap().relation
-                });
-                assert_eq!(
-                    collected, reference,
-                    "{e} {exec} @{n}w: collector-on ≠ reference"
-                );
-                assert!(!ring.log().is_empty(), "collector captured engine spans");
-            }
+            let ring = Arc::new(RingCollector::new(1 << 14));
+            let collected = setjoins::obs::with_collector(ring.clone(), || {
+                build().query(e.clone()).run().unwrap().relation
+            });
+            assert_eq!(collected, reference, "{e} @{n}w: collector-on ≠ reference");
+            assert!(!ring.log().is_empty(), "collector captured engine spans");
         }
     }
 }

@@ -2,9 +2,7 @@
 //! set-join and division algorithm, every evaluation [`Strategy`], and
 //! every [`OptimizeLevel`] must produce byte-identical relations under
 //! [`Parallelism::Serial`] and [`Parallelism::Threads(n)`] for every
-//! tested worker count — and, through the kernel layer, under **both**
-//! [`Execution`] modes per worker count (each partition runs the row
-//! index-view or the vectorized gather-view kernel). Inputs cover
+//! tested worker count. Inputs cover
 //! random relations (property tests) as well as the adversarial shapes
 //! hash partitioning finds hardest: empty operands, skewed and
 //! zipf-distributed keys (one partition holds almost everything) and
@@ -19,7 +17,7 @@ use proptest::prelude::*;
 // `engine::Strategy` (the enum) and proptest's `Strategy` (the trait)
 // collide under the two globs: bind each explicitly.
 use proptest::strategy::Strategy as PropStrategy;
-use setjoins::eval::{Execution, Parallelism, Strategy};
+use setjoins::eval::{Parallelism, Strategy};
 use setjoins::prelude::*;
 use sj_algebra::division;
 use sj_setjoin::nested_loop_set_join;
@@ -185,20 +183,17 @@ fn engine_division_plans_parallel_equals_serial() {
                     .relation;
                 for strategy in [Strategy::Planned, Strategy::Naive, Strategy::Reference] {
                     for &n in &thread_counts() {
-                        for exec in [Execution::RowAtATime, Execution::Vectorized] {
-                            let out = Engine::new(db.clone())
-                                .optimize(level)
-                                .strategy(strategy)
-                                .parallelism(Parallelism::Threads(n))
-                                .execution(exec)
-                                .query(e.clone())
-                                .run()
-                                .unwrap();
-                            assert_eq!(
-                                out.relation, reference,
-                                "{dbname} {e} {strategy} {level:?} {exec} @{n} workers"
-                            );
-                        }
+                        let out = Engine::new(db.clone())
+                            .optimize(level)
+                            .strategy(strategy)
+                            .parallelism(Parallelism::Threads(n))
+                            .query(e.clone())
+                            .run()
+                            .unwrap();
+                        assert_eq!(
+                            out.relation, reference,
+                            "{dbname} {e} {strategy} {level:?} @{n} workers"
+                        );
                     }
                 }
             }

@@ -1,32 +1,30 @@
-//! Differential suite proving **vectorized ≡ row-at-a-time**: the
-//! batched operators of `sj_eval::ops_vec` must produce byte-identical
-//! relations to their row-wise `sj_eval::ops` counterparts, and the
-//! engine must produce byte-identical results across the full knob
-//! matrix `Execution::{RowAtATime, Vectorized}` ×
-//! `Threads{1, 2, 4, 8}` × chunk `{1, 3, default}` for every strategy ×
-//! optimize level — on random inputs as well as on the shapes chunked
-//! and partitioned execution find hardest: empty relations, single
-//! rows, zipf-skewed and all-duplicate keys, and relations sized
-//! exactly at, one below, and one above a chunk boundary. Since the
-//! kernel layer (`sj_eval::kernel`) runs vectorized kernels *inside*
-//! partitions, the worker counts here exercise the partitioned
-//! gather-view kernels, not just the serial chunked ones.
+//! Reference-differential suite for the physical kernels: every binary
+//! kernel of `sj_eval::kernel` — hash, nested-loop and merge join and
+//! semijoin, and the multiway join — and the chunked selection of
+//! `sj_eval::ops` must equal `evaluate_reference` (the paper's
+//! semantics as nested loops) at every worker count, and the engine
+//! must equal it end to end for every strategy × optimize level. Inputs
+//! are random relations plus the shapes chunked and partitioned
+//! execution find hardest: string and mixed-variant columns, skewed,
+//! zipf-skewed and all-duplicate keys, empty sides, and relations sized
+//! exactly at, one below and one above a chunk boundary.
 //!
-//! Chunk sizes under test are `{1, 3, default}` through the explicit
-//! `*_chunked` entry points; CI additionally re-runs the whole suite
-//! with `SETJOINS_TEST_CHUNK=1` and `=3`, which reroutes every
-//! engine-level vectorized operator through degenerate chunking.
-//! `SETJOINS_TEST_THREADS` narrows the worker counts exactly as in
+//! Chunk sizes under test are `{1, 3, default}` through
+//! `ops::select_chunked`; CI additionally re-runs the suite with
+//! `SETJOINS_TEST_CHUNK=1` and `=3`, which reroutes every engine-level
+//! selection through degenerate chunking. The worker counts default to
+//! `{1, 2, 4, 8}`; `SETJOINS_TEST_THREADS` narrows them exactly as in
 //! `tests/parallel.rs`.
 
 use proptest::prelude::*;
 use proptest::strategy::Strategy as PropStrategy;
-use setjoins::eval::{ops, ops_vec, Execution, Parallelism, Strategy};
+use setjoins::eval::{kernel, ops, MultiwayLeaf, MultiwaySpec, Parallelism, Strategy};
 use setjoins::prelude::*;
-use sj_algebra::Selection;
+use sj_algebra::{Atom, CompOp, Selection};
+use sj_eval::evaluate_reference;
 use sj_storage::DEFAULT_CHUNK_ROWS;
 
-/// Chunk sizes the explicit `*_chunked` calls exercise: degenerate
+/// Chunk sizes the explicit `select_chunked` calls exercise: degenerate
 /// (every row its own chunk), tiny-and-odd, and the production default.
 const CHUNKS: [usize; 3] = [1, 3, DEFAULT_CHUNK_ROWS];
 
@@ -127,14 +125,52 @@ fn operand_pairs() -> Vec<(String, Relation, Relation)> {
     out
 }
 
+/// The database `{R: r, S: s}`.
+fn db_of(r: &Relation, s: &Relation) -> Database {
+    let mut db = Database::new();
+    db.set("R", r.clone());
+    db.set("S", s.clone());
+    db
+}
+
+fn atom(left: usize, op: CompOp, right: usize) -> Atom {
+    Atom { left, op, right }
+}
+
+/// θ shapes for the hash and nested-loop kernels: equality only, with
+/// residual atoms, and with no equality atom at all.
+fn thetas() -> Vec<Condition> {
+    vec![
+        Condition::eq(1, 1),
+        Condition::eq(2, 2),
+        Condition::eq(2, 1),
+        Condition::eq(1, 1).and(2, CompOp::Lt, 2),
+        Condition::eq(2, 1).and(1, CompOp::Neq, 2),
+        Condition::lt(1, 1),
+        Condition::new([atom(1, CompOp::Lt, 2), atom(2, CompOp::Neq, 1)]),
+        Condition::always(),
+    ]
+}
+
+/// `R ⋈θ S` and `R ⋉θ S` through the reference evaluator.
+fn reference_joins(db: &Database, theta: &Condition) -> (Relation, Relation) {
+    let join = Expr::rel("R").join(theta.clone(), Expr::rel("S"));
+    let semi = Expr::rel("R").semijoin(theta.clone(), Expr::rel("S"));
+    (
+        evaluate_reference(&join, db).unwrap(),
+        evaluate_reference(&semi, db).unwrap(),
+    )
+}
+
 // ---------------------------------------------------------------------------
-// Direct operator differentials at explicit chunk sizes
+// Kernels against the reference
 // ---------------------------------------------------------------------------
 
-/// Chunked selection ≡ row selection, every chunk size, every predicate
-/// shape, every operand — including sizes straddling each chunk boundary.
+/// Chunked selection equals the reference at every chunk size, on every
+/// predicate shape and operand — including sizes straddling each chunk
+/// boundary.
 #[test]
-fn vectorized_select_equals_row_select() {
+fn select_equals_reference() {
     let sels = [
         Selection::Eq(1, 2),
         Selection::Lt(1, 2),
@@ -145,12 +181,14 @@ fn vectorized_select_equals_row_select() {
     ];
     for (name, r, s) in operand_pairs() {
         for rel in [&r, &s] {
+            let db = db_of(rel, rel);
             for sel in &sels {
-                let baseline = ops::select(rel, sel);
+                let e = Expr::Select(sel.clone(), Box::new(Expr::rel("R")));
+                let want = evaluate_reference(&e, &db).unwrap();
                 for &chunk in &CHUNKS {
                     assert_eq!(
-                        ops_vec::select_chunked(rel, sel, chunk),
-                        baseline,
+                        ops::select_chunked(rel, sel, chunk),
+                        want,
                         "select {sel:?} on {name} @chunk {chunk}"
                     );
                 }
@@ -159,80 +197,103 @@ fn vectorized_select_equals_row_select() {
     }
 }
 
-/// Chunked hash join/semijoin ≡ row join/semijoin, with and without
-/// residual inequality atoms, across typed and mixed columns.
+/// Hash and nested-loop join/semijoin equal the reference at every
+/// worker count, with and without residual atoms and with no equality
+/// atom, across typed and mixed columns.
 #[test]
-fn vectorized_joins_equal_row_joins() {
-    let thetas = [
-        Condition::eq(1, 1),
-        Condition::eq(2, 2),
-        Condition::new(vec![
-            sj_algebra::Atom {
-                left: 1,
-                op: sj_algebra::CompOp::Eq,
-                right: 1,
-            },
-            sj_algebra::Atom {
-                left: 2,
-                op: sj_algebra::CompOp::Lt,
-                right: 2,
-            },
-        ]),
-        Condition::lt(1, 1), // no equality atom: falls back to the row path
-    ];
+fn hash_and_nested_loop_kernels_equal_reference() {
     for (name, r, s) in operand_pairs() {
-        for theta in &thetas {
-            let join_base = ops::join(&r, &s, theta);
-            let semi_base = ops::semijoin(&r, &s, theta);
-            for &chunk in &CHUNKS {
+        let db = db_of(&r, &s);
+        for theta in &thetas() {
+            let (want_join, want_semi) = reference_joins(&db, theta);
+            for &n in &worker_counts() {
                 assert_eq!(
-                    ops_vec::join_chunked(&r, &s, theta, chunk),
-                    join_base,
-                    "join {theta} on {name} @chunk {chunk}"
+                    kernel::join(&r, &s, theta, n).0,
+                    want_join,
+                    "join {theta} on {name} @{n}"
                 );
                 assert_eq!(
-                    ops_vec::semijoin_chunked(&r, &s, theta, chunk),
-                    semi_base,
-                    "semijoin {theta} on {name} @chunk {chunk}"
+                    kernel::semijoin(&r, &s, theta, n).0,
+                    want_semi,
+                    "semijoin {theta} on {name} @{n}"
                 );
             }
         }
     }
 }
 
-/// Columnar merge join/semijoin ≡ row merge join/semijoin on the
-/// canonical sort prefix.
+/// Merge join/semijoin on the canonical sort prefix (one and two key
+/// columns, with and without a residual) equal the reference at every
+/// worker count.
 #[test]
-fn vectorized_merges_equal_row_merges() {
+fn merge_kernels_equal_reference() {
     let residuals = [
         Condition::always(),
-        Condition::new(vec![sj_algebra::Atom {
-            left: 2,
-            op: sj_algebra::CompOp::Lt,
-            right: 2,
-        }]),
+        Condition::new([atom(2, CompOp::Lt, 2)]),
     ];
     for (name, r, s) in operand_pairs() {
-        for residual in &residuals {
+        let db = db_of(&r, &s);
+        for k in [1usize, 2] {
+            for residual in &residuals {
+                let theta = Condition::new(
+                    Condition::eq_pairs((1..=k).map(|c| (c, c)))
+                        .atoms()
+                        .iter()
+                        .chain(residual.atoms())
+                        .copied(),
+                );
+                let (want_join, want_semi) = reference_joins(&db, &theta);
+                for &n in &worker_counts() {
+                    assert_eq!(
+                        kernel::merge_join(&r, &s, k, residual, n).0,
+                        want_join,
+                        "merge join {theta} on {name} @{n}"
+                    );
+                    assert_eq!(
+                        kernel::merge_semijoin(&r, &s, k, residual, n).0,
+                        want_semi,
+                        "merge semijoin {theta} on {name} @{n}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// The multiway kernel on a triangle `R(a,b) ⋈ S(b,c) ⋈ R(c,a)` equals
+/// the reference pairwise chain at every worker count.
+#[test]
+fn multiway_kernel_equals_reference() {
+    let spec = MultiwaySpec {
+        cycle: (0..3)
+            .map(|child| MultiwayLeaf {
+                child,
+                var_col: 0,
+                next_col: 1,
+            })
+            .collect(),
+    };
+    let chain = Expr::rel("R")
+        .join(Condition::eq(2, 1), Expr::rel("S"))
+        .join(Condition::eq_pairs([(4, 1), (1, 2)]), Expr::rel("R"));
+    for (name, r, s) in operand_pairs() {
+        let want = evaluate_reference(&chain, &db_of(&r, &s)).unwrap();
+        for &n in &worker_counts() {
             assert_eq!(
-                ops_vec::merge_join(&r, &s, 1, residual),
-                ops::merge_join(&r, &s, 1, residual),
-                "merge join on {name} residual {residual}"
-            );
-            assert_eq!(
-                ops_vec::merge_semijoin(&r, &s, 1, residual),
-                ops::merge_semijoin(&r, &s, 1, residual),
-                "merge semijoin on {name} residual {residual}"
+                kernel::multiway_join(&[&r, &s, &r], &spec, n).0,
+                want,
+                "triangle on {name} @{n}"
             );
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Engine end to end: Execution knob differential
+// Engine end to end
 // ---------------------------------------------------------------------------
 
-/// Queries exercising every operator the vectorized path touches.
+/// Queries exercising every kernel the planner and the naive evaluator
+/// route to.
 fn engine_queries() -> Vec<Expr> {
     vec![
         Expr::rel("R").select_eq(1, 2),
@@ -250,11 +311,10 @@ fn engine_queries() -> Vec<Expr> {
     ]
 }
 
-/// Every strategy × optimize level × worker count: `Execution::Vectorized`
-/// byte-identical to `Execution::RowAtATime`, on a real workload and on
-/// every adversarial operand pair.
+/// Every strategy × optimize level × worker count equals the reference
+/// evaluator, on a real workload and on every adversarial operand pair.
 #[test]
-fn engine_vectorized_equals_row_at_a_time() {
+fn engine_equals_reference() {
     use sj_workload::{DivisionWorkload, ElementDist, SetJoinWorkload, SetSizeDist};
     let workload_db = {
         let div = DivisionWorkload {
@@ -283,33 +343,25 @@ fn engine_vectorized_equals_row_at_a_time() {
     };
     let mut dbs: Vec<(String, Database)> = vec![("division-workload".into(), workload_db)];
     for (name, r, s) in operand_pairs() {
-        let mut db = Database::new();
-        db.set("R", r);
-        db.set("S", s);
+        let mut db = db_of(&r, &s);
         db.set("T", Relation::from_int_rows(&[&[5], &[9]]));
         dbs.push((format!("operands-{name}"), db));
     }
     for (dbname, db) in &dbs {
         for e in engine_queries() {
+            let want = evaluate_reference(&e, db).unwrap();
             for level in [OptimizeLevel::Off, OptimizeLevel::Full] {
                 for strategy in [Strategy::Planned, Strategy::Naive] {
                     for &n in &worker_counts() {
-                        let run = |exec: Execution| {
-                            Engine::new(db.clone())
-                                .optimize(level)
-                                .strategy(strategy)
-                                .parallelism(Parallelism::Threads(n))
-                                .execution(exec)
-                                .query(e.clone())
-                                .run()
-                                .unwrap()
-                                .relation
-                        };
-                        assert_eq!(
-                            run(Execution::Vectorized),
-                            run(Execution::RowAtATime),
-                            "{dbname} {e} {strategy} {level:?} @{n} workers"
-                        );
+                        let got = Engine::new(db.clone())
+                            .optimize(level)
+                            .strategy(strategy)
+                            .parallelism(Parallelism::Threads(n))
+                            .query(e.clone())
+                            .run()
+                            .unwrap()
+                            .relation;
+                        assert_eq!(got, want, "{dbname} {e} {strategy} {level:?} @{n} workers");
                     }
                 }
             }
@@ -332,40 +384,30 @@ fn arb_relation(arity: usize) -> impl PropStrategy<Value = Relation> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random relations and conditions: every chunked operator equals
-    /// its row counterpart at every chunk size.
+    /// Random relations and conditions: every kernel equals the
+    /// reference at every worker count, and selection at every chunk
+    /// size.
     #[test]
-    fn vectorized_ops_equal_row_ops_on_random_relations(
+    fn kernels_equal_reference_on_random_relations(
         r in arb_relation(2),
         s in arb_relation(2),
-        ci in 0usize..3,
+        ti in 0usize..8,
     ) {
-        let theta = [Condition::eq(1, 1), Condition::eq(2, 2), Condition::eq(2, 1)][ci].clone();
-        for &chunk in &CHUNKS {
-            prop_assert_eq!(
-                ops_vec::join_chunked(&r, &s, &theta, chunk),
-                ops::join(&r, &s, &theta),
-                "join chunk {}", chunk
-            );
-            prop_assert_eq!(
-                ops_vec::semijoin_chunked(&r, &s, &theta, chunk),
-                ops::semijoin(&r, &s, &theta),
-                "semijoin chunk {}", chunk
-            );
-            let sel = Selection::Eq(1, 2);
-            prop_assert_eq!(
-                ops_vec::select_chunked(&r, &sel, chunk),
-                ops::select(&r, &sel),
-                "select chunk {}", chunk
-            );
+        let db = db_of(&r, &s);
+        let theta = thetas()[ti].clone();
+        let (want_join, want_semi) = reference_joins(&db, &theta);
+        let (want_mj, want_ms) = reference_joins(&db, &Condition::eq(1, 1));
+        let sel = Selection::Eq(1, 2);
+        let want_sel = evaluate_reference(&Expr::rel("R").select_eq(1, 2), &db).unwrap();
+        for &n in &worker_counts() {
+            prop_assert_eq!(&kernel::join(&r, &s, &theta, n).0, &want_join, "join @{}", n);
+            prop_assert_eq!(&kernel::semijoin(&r, &s, &theta, n).0, &want_semi, "semijoin @{}", n);
+            let always = Condition::always();
+            prop_assert_eq!(&kernel::merge_join(&r, &s, 1, &always, n).0, &want_mj);
+            prop_assert_eq!(&kernel::merge_semijoin(&r, &s, 1, &always, n).0, &want_ms);
         }
-        prop_assert_eq!(
-            ops_vec::merge_join(&r, &s, 1, &Condition::always()),
-            ops::merge_join(&r, &s, 1, &Condition::always())
-        );
-        prop_assert_eq!(
-            ops_vec::merge_semijoin(&r, &s, 1, &Condition::always()),
-            ops::merge_semijoin(&r, &s, 1, &Condition::always())
-        );
+        for &chunk in &CHUNKS {
+            prop_assert_eq!(&ops::select_chunked(&r, &sel, chunk), &want_sel, "select chunk {}", chunk);
+        }
     }
 }
